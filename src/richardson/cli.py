@@ -95,9 +95,10 @@ def exceptional_to_record(rec: ExceptionalRecord) -> dict:
     }
 
 
-def _cell(value) -> str:
+def _cell(value, none: str = "-") -> str:
+    """One record value as text; ``none`` stands in for a missing value."""
     if value is None:
-        return "-"
+        return none
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
@@ -120,17 +121,7 @@ def _emit_csv(records: Iterable[dict], out) -> None:
     writer = csv.writer(out)
     writer.writerow(RECORD_KEYS)
     for r in records:
-        writer.writerow([_cell_csv(r[k]) for k in RECORD_KEYS])
-
-
-def _cell_csv(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return ",".join(map(str, value))
-    return str(value)
+        writer.writerow([_cell(r[k], none="") for k in RECORD_KEYS])
 
 
 def _emit_json(records: Iterable[dict], out) -> None:
@@ -145,6 +136,16 @@ def _emit(records: list[dict], fmt: str, out) -> None:
         _emit_json(records, out)
     else:
         _emit_csv(records, out)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -330,6 +331,9 @@ def _cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_TRIALS_HELP = "oracle samples: up to N, stops at the first certified (default 3)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="richardson",
@@ -348,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", help="0/1 coloring of the simple roots, e.g. 1,0,1")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--with-oracle", action="store_true", help="oracle partition for non-nice B/C/D")
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=_positive_int, default=3, metavar="N", help=_TRIALS_HELP)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_classify)
 
@@ -367,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed forms vs oracle, block vs partition criteria")
     p.add_argument("--kind", default="all", help="A, B, C, D or all")
     p.add_argument("--max-N", type=int, default=12, dest="max_n")
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=_positive_int, default=3, metavar="N", help=_TRIALS_HELP)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 

@@ -2,25 +2,25 @@
 algebras, generic nilradical elements, and exact-arithmetic Jordan types
 and centralizer dimensions.
 
-Everything here is exact.  Jordan types come from ranks of integer matrix
-powers via fraction-free elimination.  Centralizer dimensions (the
-genericity certificate ``dim g^X = dim m``) use a rigorous two-sided
-squeeze: ``dim m`` is always a lower bound for the kernel of ``ad(X)`` on
-``g`` when X lies in the nilradical, and a modular rank gives an upper
-bound, so agreement certifies the exact value; :meth:`ExactMatrix.rank`
-(pure Bareiss over the integers) is the reference and the fallback.  No
-floating point is used anywhere.
+Everything here is exact and runs on one integer matrix type.  Jordan types
+come from ranks of integer matrix powers via fraction-free (Bareiss)
+elimination.  The genericity certificate ``dim g^X = dim m`` reads dim g^X
+off the exact Jordan type of X (Collingwood-McGovern, *Nilpotent Orbits in
+Semisimple Lie Algebras*, Cor. 6.1.4); ``dim m`` is a lower bound for it
+whenever X lies in the nilradical, with equality exactly when X is a
+Richardson element.  The rank of ``ad(X)`` on ``g`` gives the same dimension
+independently and serves as the reference in tests.  No floating point is
+used anywhere.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .core import (
     BlockVector,
@@ -28,6 +28,8 @@ from .core import (
     LieKind,
     UnsupportedKindError,
     coloring_from_blocks,
+    n_odd,
+    transpose,
 )
 from .partitions import partition_from_kernel_dims
 
@@ -35,11 +37,11 @@ __all__ = [
     "ExactMatrix",
     "NotNilpotentError",
     "MembershipError",
+    "CertificateError",
     "MatrixRealization",
     "realization",
     "nilradical_basis",
     "levi_dim",
-    "orbit_dim_classical",
     "generic_nilradical_element",
     "jordan_partition",
     "centralizer_dim",
@@ -48,9 +50,6 @@ __all__ = [
 ]
 
 COEFF_RANGE = (1, 10**6)
-
-# primes below 2**31 so GF(p) products fit in int64
-_PRIMES = (2_147_483_647, 2_147_483_629)
 
 
 class NotNilpotentError(ValueError):
@@ -61,13 +60,21 @@ class MembershipError(ValueError):
     """Matrix does not lie in the expected Lie algebra."""
 
 
+class CertificateError(RuntimeError):
+    """A centralizer dimension fell below its proven lower bound."""
+
+
 class ExactMatrix:
-    """Dense matrix over exact integers (or rationals), with exact rank."""
+    """Dense matrix over exact integers, with exact rank.
+
+    Entries must be integers: a float or :class:`~fractions.Fraction` entry
+    raises ``TypeError``.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence[int]]):
-        self.data = tuple(tuple(x for x in row) for row in data)
+        self.data = tuple(tuple(map(operator.index, row)) for row in data)
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(r) != self.cols for r in self.data):
@@ -121,7 +128,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Exact rank by fraction-free (Bareiss) elimination over Z."""
-        return _int_rank(_integer_rows(self.data))
+        return _int_rank([list(row) for row in self.data])
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
@@ -129,27 +136,6 @@ class ExactMatrix:
 
 def bracket(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
     return (x @ y) + (y @ x).scaled(-1)
-
-
-def _integer_rows(data: Iterable[Sequence]) -> list[list[int]]:
-    """Clear denominators row by row (rank is unchanged)."""
-    out: list[list[int]] = []
-    for row in data:
-        if any(isinstance(x, Fraction) for x in row):
-            denom = 1
-            for x in row:
-                if isinstance(x, Fraction):
-                    denom = denom * x.denominator // _gcd(denom, x.denominator)
-            out.append([int(x * denom) for x in row])
-        else:
-            out.append([int(x) for x in row])
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _int_rank(m: list[list[int]]) -> int:
@@ -179,27 +165,6 @@ def _int_rank(m: list[list[int]]) -> int:
     return rank
 
 
-def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank over GF(p); a lower bound for the rank over Q."""
-    a = np.mod(a.astype(np.int64), p)
-    nr, nc = a.shape
-    rank = 0
-    for col in range(nc):
-        if rank == nr:
-            break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        f = (a[rank + 1 :, col] * inv) % p
-        a[rank + 1 :, col:] = (a[rank + 1 :, col:] - f[:, None] * a[rank, col:]) % p
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # matrix realizations (skew-diagonal forms, upper-triangular Borel)
 
@@ -219,7 +184,6 @@ class MatrixRealization:
         self.N = kind.matrix_size
         self.form = _form_matrix(kind)
         self.basis = tuple(_basis_matrices(kind))
-        self._np_basis = np.array([m.data for m in self.basis], dtype=np.int64)
         assert len(self.basis) == kind.dim
 
     @property
@@ -360,11 +324,6 @@ def levi_dim(b: BlockVector) -> int:
     return len(_region_basis(b, same_block=True))
 
 
-def orbit_dim_classical(b: BlockVector) -> int:
-    """Dimension of the Richardson orbit: dim g - dim m."""
-    return b.kind.dim - levi_dim(b)
-
-
 def generic_nilradical_element(b: BlockVector, seed: int) -> ExactMatrix:
     """Random integer combination of the nilradical basis, deterministic in seed."""
     rng = random.Random(seed)
@@ -406,13 +365,6 @@ def _ad_rows(real: MatrixRealization, x: ExactMatrix) -> list[list[int]]:
     return rows
 
 
-def _ad_rows_np(real: MatrixRealization, x: ExactMatrix) -> np.ndarray:
-    xn = np.array(x.data, dtype=np.int64)
-    basis = real._np_basis
-    ad = np.einsum("ab,kbc->kac", xn, basis) - np.einsum("kab,bc->kac", basis, xn)
-    return ad.reshape(real.dim, real.N * real.N)
-
-
 def centralizer_dim(real: MatrixRealization, x: ExactMatrix) -> int:
     """dim {Y in g : [X, Y] = 0}, via the exact rank of ad(X) on g."""
     if not real.contains(x):
@@ -421,27 +373,33 @@ def centralizer_dim(real: MatrixRealization, x: ExactMatrix) -> int:
 
 
 def certified_centralizer_dim(
-    real: MatrixRealization, x: ExactMatrix, lower_bound: int
+    kind: LieKind, lam: Sequence[int], lower_bound: int
 ) -> tuple[int, bool]:
-    """Centralizer dimension with a fast certificate.
+    """dim g^X for a nilpotent X in g of Jordan type ``lam``, and whether it
+    meets ``lower_bound``.
 
+    The closed forms (Collingwood-McGovern, Cor. 6.1.4), with lam^T the
+    transposed partition: sl, sum (lam^T_i)^2 - 1; sp, half of
+    sum (lam^T_i)^2 + #odd parts; so, half of sum (lam^T_i)^2 - #odd parts.
     ``lower_bound`` must be a proven lower bound for dim g^X (dim m works for
-    any X in the nilradical).  A modular rank bounds the kernel from above;
-    if the bounds meet, the value is exact and certified.  Otherwise the
-    smallest modular kernel is returned uncertified.
+    any X in the nilradical); the sample is certified generic iff the value
+    meets it.  A value below the bound raises :class:`CertificateError`.
     """
-    ad = _ad_rows_np(real, x)
-    best = real.dim
-    for p in _PRIMES:
-        kernel = real.dim - _rank_mod_p(ad, p)
-        if kernel < lower_bound:
-            raise AssertionError(
-                f"modular kernel {kernel} below proven lower bound {lower_bound}"
-            )
-        best = min(best, kernel)
-        if kernel == lower_bound:
-            return kernel, True
-    return best, False
+    squares = sum(c * c for c in transpose(lam))
+    if kind.family == "A":
+        dim = squares - 1
+    elif kind.family == "C":
+        dim = (squares + n_odd(lam)) // 2
+    elif kind.family in ("B", "D"):
+        dim = (squares - n_odd(lam)) // 2
+    else:
+        raise UnsupportedKindError(f"no Jordan-type centralizer formula for {kind.name}")
+    if dim < lower_bound:
+        raise CertificateError(
+            f"centralizer dimension {dim} of Jordan type {tuple(lam)} in {kind.name} "
+            f"is below the proven lower bound {lower_bound}"
+        )
+    return dim, dim == lower_bound
 
 
 def _partial_sums(lam: Sequence[int], length: int) -> tuple[int, ...]:
@@ -458,25 +416,24 @@ def oracle_partition_detail(
 ) -> tuple[tuple[int, ...], bool]:
     """Jordan type of a generic nilradical element plus a genericity flag.
 
-    Runs seeds base_seed .. base_seed+trials-1, keeps the dominance-largest
-    Jordan type, and certifies genericity of the winning sample by
-    dim g^X = dim m.
+    Samples seeds base_seed .. base_seed+trials-1 and stops at the first
+    sample certified generic by dim g^X = dim m: its Jordan type is the
+    Richardson partition, which no other sample can dominate.  If no sample
+    certifies, the dominance-largest Jordan type found is returned with the
+    flag False.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    real = realization(b.kind)
     target = levi_dim(b)
     n = b.kind.matrix_size
-    best: tuple[int, ...] | None = None
-    best_cert = False
+    best: tuple[int, ...] = ()
     for t in range(trials):
-        x = generic_nilradical_element(b, base_seed + t)
-        lam = jordan_partition(x)
-        if best is None or _partial_sums(lam, n) > _partial_sums(best, n):
-            _, cert = certified_centralizer_dim(real, x, target)
-            best, best_cert = lam, cert
-    assert best is not None
-    return best, best_cert
+        lam = jordan_partition(generic_nilradical_element(b, base_seed + t))
+        if certified_centralizer_dim(b.kind, lam, target)[1]:
+            return lam, True
+        if not best or _partial_sums(lam, n) > _partial_sums(best, n):
+            best = lam
+    return best, False
 
 
 def oracle_richardson_partition(

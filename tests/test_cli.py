@@ -3,6 +3,7 @@ import io
 import json
 
 import jsonschema
+import pytest
 
 from richardson.cli import RECORD_KEYS, main, record_schema
 
@@ -11,6 +12,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def json_lines(text):
@@ -54,6 +62,12 @@ class TestClassify:
         code, _, err = run_cli(capsys, "classify", "--kind", "C3", "--blocks", "2,2,2")
         assert code == 2
         assert "half palindrome" in err
+
+    def test_zero_trials_exit_2(self, capsys):
+        assert_usage_error(
+            capsys, "classify", "--kind", "C4", "--blocks", "3", "--central", "2",
+            "--with-oracle", "--trials", "0",
+        )
 
     def test_exceptional_needs_coloring(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--kind", "G2", "--blocks", "2")
@@ -159,6 +173,9 @@ class TestVerify:
 
     def test_bad_kind(self, capsys):
         assert run_cli(capsys, "verify", "--kind", "E7")[0] == 2
+
+    def test_zero_trials_exit_2(self, capsys):
+        assert_usage_error(capsys, "verify", "--trials", "0")
 
 
 class TestExport:

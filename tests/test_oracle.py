@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from richardson.classify import is_nice
+from richardson.classify import classify, is_nice
 from richardson.core import BlockVector, Coloring, LieKind, all_block_vectors, all_colorings, blocks_from_coloring
 from richardson.oracle import (
+    CertificateError,
     ExactMatrix,
     MembershipError,
     NotNilpotentError,
@@ -19,7 +20,6 @@ from richardson.oracle import (
     nilradical_basis,
     oracle_partition_detail,
     oracle_richardson_partition,
-    orbit_dim_classical,
     realization,
 )
 from richardson.partitions import rank_and_kernel, richardson_partition
@@ -48,13 +48,16 @@ class TestExactMatrix:
         assert ExactMatrix([[1, 2], [3, 4]]).rank() == 2
         assert ExactMatrix.zeros(3).rank() == 0
 
-    def test_rank_rational(self):
+    def test_non_integer_entries_rejected(self):
         from fractions import Fraction
 
-        singular = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]])
-        assert singular.rank() == 1  # det = 1/2 - 1/2
-        m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])
-        assert m.rank() == 2
+        # truncating 0.5 to 0 would report rank 2 for a rank-1 matrix
+        with pytest.raises(TypeError):
+            ExactMatrix([[0.5, 1], [1, 2]])
+        with pytest.raises(TypeError):
+            ExactMatrix([[Fraction(1, 2), 1], [1, 2]])
+        with pytest.raises(TypeError):
+            ExactMatrix.identity(2).scaled(Fraction(1, 2))
 
     def test_rank_bounded_by_generators(self):
         # rows built from r generators never exceed rank r
@@ -131,7 +134,7 @@ class TestNilradical:
         assert levi_dim(BlockVector(LieKind("A", 3), (1, 2, 1))) == 5
         assert levi_dim(BlockVector(LieKind("C", 2), (1,), 2)) == 4  # gl_1 x sp_2
         assert levi_dim(BlockVector(LieKind("D", 4), (2,), 4)) == 10  # gl_2 x so_4
-        assert orbit_dim_classical(BlockVector(LieKind("C", 3), (2,), 2)) == 14
+        assert classify(BlockVector(LieKind("C", 3), (2,), 2)).orbit_dim == 14
 
 
 class TestJordan:
@@ -181,9 +184,39 @@ class TestCentralizer:
             b = BlockVector(LieKind.parse(name), d, c)
             real = realization(b.kind)
             x = generic_nilradical_element(b, 9)
-            fast, cert = certified_centralizer_dim(real, x, levi_dim(b))
+            fast, cert = certified_centralizer_dim(b.kind, jordan_partition(x), levi_dim(b))
             assert cert
             assert fast == centralizer_dim(real, x) == levi_dim(b)
+
+    def test_below_bound_raises(self):
+        b = BlockVector(LieKind("C", 3), (2,), 2)
+        # the regular type (6,) has dim g^X = 3, below dim m = 7
+        with pytest.raises(CertificateError):
+            certified_centralizer_dim(b.kind, (6,), levi_dim(b))
+
+    def test_formula_matches_exact_on_sparse_elements(self):
+        # sparse nilradical elements have many non-generic Jordan types; a
+        # generic sample always has the same one, so it cannot catch a wrong
+        # sign or odd-part term
+        rng = random.Random(5)
+        types: set[tuple[str, tuple[int, ...]]] = set()
+        uncertified = {fam: 0 for fam in "ABCD"}
+        for kind in classical_kinds_up_to(("A", "B", "C", "D"), 8):
+            real = realization(kind)
+            for b in all_block_vectors(kind):
+                basis = nilradical_basis(b)
+                if not basis:
+                    continue
+                x = ExactMatrix.zeros(kind.matrix_size)
+                for elt in rng.sample(basis, rng.randint(1, len(basis))):
+                    x = x + elt.scaled(rng.randint(-2, 2))
+                lam = jordan_partition(x)
+                dim, cert = certified_centralizer_dim(kind, lam, levi_dim(b))
+                assert dim == centralizer_dim(real, x), (kind.name, b.d, b.central, lam)
+                types.add((kind.name, lam))
+                uncertified[kind.family] += not cert
+        assert all(uncertified.values()), uncertified
+        assert len(types) > 60, len(types)
 
 
 class TestOraclePartition:
@@ -272,21 +305,20 @@ class TestOracleEquivalence:
 
     def test_non_nice_certificates(self):
         # dim g^X = dim m holds for generic elements of arbitrary parabolics
+        def certified(b):
+            lam = jordan_partition(generic_nilradical_element(b, 23))
+            return certified_centralizer_dim(b.kind, lam, levi_dim(b))[1]
+
         for kind in classical_kinds_up_to(("A", "B", "C", "D"), 9):
             for b in all_block_vectors(kind):
-                if is_nice(b):
-                    continue
-                x = generic_nilradical_element(b, 23)
-                _, cert = certified_centralizer_dim(realization(kind), x, levi_dim(b))
-                assert cert, (kind.name, b.d, b.central)
+                if not is_nice(b):
+                    assert certified(b), (kind.name, b.d, b.central)
         rng = random.Random(3)
         for n_val in (10, 11, 12):
             kind = LieKind("A", n_val - 1)
             rest = [b for b in all_block_vectors(kind) if not is_nice(b)]
             for b in rng.sample(rest, 60):
-                x = generic_nilradical_element(b, 23)
-                _, cert = certified_centralizer_dim(realization(kind), x, levi_dim(b))
-                assert cert
+                assert certified(b), (kind.name, b.d)
 
 
 class TestLeviBlocks:
