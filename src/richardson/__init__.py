@@ -27,6 +27,7 @@ from .core import (
     BlockVector,
     Coloring,
     DescriptorError,
+    InvariantError,
     LieKind,
     UnsupportedKindError,
     all_block_vectors,

@@ -1,9 +1,9 @@
 """Command-line front end: classify single parabolics, enumerate families,
 run the verification sweeps, export the exceptional tables.
 
-Exit codes: 0 success, 1 verification failure or data mismatch, 2 usage or
-descriptor error.  All numbers are exact; machine formats share one fixed
-record layout (see data/record.schema.json).
+Exit codes: 0 success, 1 verification failure, data mismatch or output closed
+early, 2 usage or descriptor error.  All numbers are exact; machine formats
+share one fixed record layout (see data/record.schema.json).
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .classify import ClassificationReport, classify
 from .core import (
@@ -106,7 +107,8 @@ def _cell(value, none: str = "-") -> str:
     return str(value)
 
 
-def _emit_table(records: list[dict], out) -> None:
+def _emit_table(records: Iterable[dict], out) -> None:
+    # column widths span every row, so the table alone waits for the last record
     cells = [[_cell(r[k]) for k in RECORD_KEYS] for r in records]
     widths = [
         max(len(k), *(len(row[i]) for row in cells)) if cells else len(k)
@@ -129,7 +131,9 @@ def _emit_json(records: Iterable[dict], out) -> None:
         out.write(json.dumps(r) + "\n")
 
 
-def _emit(records: list[dict], fmt: str, out) -> None:
+def _emit(records: Iterable[dict], fmt: str, out) -> None:
+    """Write ``records`` in ``fmt``; json and csv write each record as soon as
+    the iterable yields it, one ``out.write`` per record."""
     if fmt == "table":
         _emit_table(records, out)
     elif fmt == "json":
@@ -138,14 +142,23 @@ def _emit(records: list[dict], fmt: str, out) -> None:
         _emit_csv(records, out)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(lo: int, what: str):
+    """An argparse ``type`` for integers >= ``lo``; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_matrix_size = _int_at_least(2, "a matrix size of at least 2 (A1 is the smallest)")
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -208,22 +221,29 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _iter_enumerate(args, kind: LieKind) -> list[dict]:
-    records: list[dict] = []
+def _iter_enumerate(args, kind: LieKind) -> Iterator[dict]:
+    """One record per parabolic of ``kind``, classified as it is requested."""
     if kind.is_exceptional:
         for coloring in all_colorings(kind):
-            records.append(exceptional_to_record(exceptional_lookup(coloring)))
-        return records
+            yield exceptional_to_record(exceptional_lookup(coloring))
+        return
     if args.by_blocks:
         pairs = [(b, coloring_from_blocks(b)) for b in all_block_vectors(kind)]
         pairs.sort(key=lambda bc: bc[1].u)
-        for b, coloring in pairs:
-            records.append(report_to_record(classify(b, coloring=coloring)))
-        return records
-    for coloring in all_colorings(kind):
-        b = blocks_from_coloring(coloring)
-        records.append(report_to_record(classify(b, coloring=coloring)))
-    return records
+    else:
+        pairs = ((blocks_from_coloring(c), c) for c in all_colorings(kind))
+    for b, coloring in pairs:
+        yield report_to_record(classify(b, coloring=coloring))
+
+
+def _wanted(args, r: dict) -> bool:
+    """The ``--nice/--birational/--sl2/--normal`` filters, all of them at once."""
+    return bool(
+        (not args.nice or r["nice"])
+        and (not args.birational or r["birational"])
+        and (not args.sl2 or r["sl2"])
+        and (not args.normal or r["normal"] == "normal")
+    )
 
 
 def _cmd_enumerate(args) -> int:
@@ -248,17 +268,7 @@ def _cmd_enumerate(args) -> int:
         if args.rank is not None or args.max_rank is not None:
             raise DescriptorError("--rank/--max-rank conflict with an explicit rank in --kind")
         kinds = [kind]
-    records: list[dict] = []
-    for kind in kinds:
-        records.extend(_iter_enumerate(args, kind))
-    if args.nice:
-        records = [r for r in records if r["nice"]]
-    if args.birational:
-        records = [r for r in records if r["birational"]]
-    if args.sl2:
-        records = [r for r in records if r["sl2"]]
-    if args.normal:
-        records = [r for r in records if r["normal"] == "normal"]
+    records = (r for kind in kinds for r in _iter_enumerate(args, kind) if _wanted(args, r))
     _emit(records, args.format, sys.stdout)
     return 0
 
@@ -370,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed forms vs oracle, block vs partition criteria")
     p.add_argument("--kind", default="all", help="A, B, C, D or all")
-    p.add_argument("--max-N", type=int, default=12, dest="max_n")
+    p.add_argument("--max-N", type=_matrix_size, default=12, dest="max_n")
     p.add_argument("--trials", type=_positive_int, default=3, metavar="N", help=_TRIALS_HELP)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
@@ -391,6 +401,11 @@ def main(argv: list[str] | None = None) -> int:
     except DescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); point stdout at devnull so the
+        # interpreter's final flush does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,6 +28,7 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "DescriptorError",
+    "InvariantError",
     "UnsupportedKindError",
     "LieKind",
     "Coloring",
@@ -53,6 +54,11 @@ class DescriptorError(ValueError):
 
 class UnsupportedKindError(DescriptorError):
     """Operation asked for on a Lie type it is not defined for."""
+
+
+class InvariantError(RuntimeError):
+    """A result broke an invariant that holds for every valid input: a bug,
+    not a bad input.  Raised instead of ``assert`` so ``python -O`` keeps it."""
 
 
 _EXC_DIM = {("G", 2): 14, ("F", 4): 52, ("E", 6): 78, ("E", 7): 133, ("E", 8): 248}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Coloring, LieKind, UnsupportedKindError
+from .core import Coloring, InvariantError, LieKind, UnsupportedKindError
 
 __all__ = [
     "RootSystem",
@@ -117,7 +117,11 @@ def root_system(kind: LieKind) -> RootSystem:
         raise UnsupportedKindError(f"root systems here are exceptional-only, got {kind.name}")
     cartan = _CARTAN[kind.name]
     pos = _close_positive_roots(cartan)
-    assert len(pos) == _POSITIVE_COUNT[kind.name]
+    if len(pos) != _POSITIVE_COUNT[kind.name]:
+        raise InvariantError(
+            f"{kind.name}: closure found {len(pos)} positive roots, "
+            f"expected {_POSITIVE_COUNT[kind.name]}"
+        )
     return RootSystem(kind, cartan, pos)
 
 

@@ -25,6 +25,7 @@ from typing import Sequence
 from .core import (
     BlockVector,
     Coloring,
+    InvariantError,
     LieKind,
     UnsupportedKindError,
     coloring_from_blocks,
@@ -184,7 +185,10 @@ class MatrixRealization:
         self.N = kind.matrix_size
         self.form = _form_matrix(kind)
         self.basis = tuple(_basis_matrices(kind))
-        assert len(self.basis) == kind.dim
+        if len(self.basis) != kind.dim:
+            raise InvariantError(
+                f"{kind.name}: built {len(self.basis)} basis matrices, expected dim {kind.dim}"
+            )
 
     @property
     def dim(self) -> int:

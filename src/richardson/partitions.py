@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import BlockVector, check_partition, transpose
+from .core import BlockVector, InvariantError, check_partition, transpose
 
 __all__ = [
     "FormulaDomainError",
@@ -124,7 +124,8 @@ def partition_bcd(b: BlockVector) -> tuple[int, ...]:
         raise FormulaDomainError("use partition_type_a for type A")
     _require_nice(b)
     lam = _partition_bcd(fam, b.sorted_d(), b.central)
-    assert sum(lam) == b.N
+    if sum(lam) != b.N:
+        raise InvariantError(f"closed-form partition {lam} of {b} does not sum to N = {b.N}")
     return lam
 
 
@@ -208,5 +209,6 @@ def partition_from_kernel_dims(kdims: Sequence[int]) -> tuple[int, ...]:
         nxt = k[j + 1] if j + 1 <= m else k[m]
         parts += [j] * (2 * k[j] - k[j - 1] - nxt)
     lam = tuple(sorted(parts, reverse=True))
-    assert sum(lam) == k[-1]
+    if sum(lam) != k[-1]:
+        raise InvariantError(f"parts {lam} do not sum to dim ker X^m = {k[-1]} for profile {k}")
     return check_partition(lam)

@@ -1,10 +1,17 @@
 import csv
 import io
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import richardson
+from richardson import cli
 from richardson.cli import RECORD_KEYS, main, record_schema
 
 
@@ -23,6 +30,23 @@ def assert_usage_error(capsys, *argv):
 
 def json_lines(text):
     return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+def render_table(records):
+    """The table layout: one header, every column as wide as its widest cell."""
+    rows = [list(RECORD_KEYS)] + [[cli._cell(r[k]) for k in RECORD_KEYS] for r in records]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(RECORD_KEYS))]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in rows
+    )
+
+
+FILTERS = {
+    "--nice": lambda r: r["nice"],
+    "--birational": lambda r: r["birational"],
+    "--sl2": lambda r: r["sl2"],
+    "--normal": lambda r: r["normal"] == "normal",
+}
 
 
 class TestClassify:
@@ -156,6 +180,109 @@ class TestEnumerate:
         assert run_cli(capsys, "enumerate", "--kind", "C", "--rank", "2", "--max-rank", "3")[0] == 2
         assert run_cli(capsys, "enumerate", "--kind", "C3", "--rank", "2")[0] == 2
 
+    @pytest.mark.parametrize(
+        "base",
+        [
+            ("--kind", "C", "--max-rank", "4", "--by-blocks"),
+            ("--kind", "D", "--rank", "4"),
+            ("--kind", "E6"),
+        ],
+        ids=["C4-by-blocks", "D4", "E6"],
+    )
+    def test_filters_match_python_filtering(self, capsys, base):
+        _, out, _ = run_cli(capsys, "enumerate", *base, "--format", "json")
+        everything = json_lines(out)
+        for n in range(1, len(FILTERS) + 1):
+            for flags in itertools.combinations(FILTERS, n):
+                want = [r for r in everything if all(FILTERS[f](r) for f in flags)]
+                _, out, _ = run_cli(capsys, "enumerate", *base, *flags, "--format", "json")
+                assert json_lines(out) == want, flags
+                _, out, _ = run_cli(capsys, "enumerate", *base, *flags, "--format", "csv")
+                rows = list(csv.reader(io.StringIO(out)))
+                assert rows[0] == list(RECORD_KEYS)
+                assert rows[1:] == [[cli._cell(r[k], none="") for k in RECORD_KEYS] for r in want]
+                _, out, _ = run_cli(capsys, "enumerate", *base, *flags)
+                assert out == render_table(want), flags
+
+    def test_multi_kind_table_has_one_header_and_shared_widths(self, capsys):
+        base = ("enumerate", "--kind", "D", "--max-rank", "5", "--by-blocks")
+        _, out, _ = run_cli(capsys, *base, "--format", "json")
+        records = json_lines(out)
+        assert {r["kind"] for r in records} == {"D3", "D4", "D5"}
+        _, table, _ = run_cli(capsys, *base)
+        assert table == render_table(records)
+        lines = table.splitlines()
+        assert sum(line.startswith("kind") for line in lines) == 1
+        # every row, D3 too, is padded to the D5 coloring "0,0,0,0,0", wider than the header
+        col = lines[0].index("blocks")
+        assert col == len("kind") + 2 + len("0,0,0,0,0") + 2
+        assert lines[1].startswith("D3    0,0,0      ")
+        col = lines[0].index("central")  # never empty: "-" stands in for None
+        assert all(line[col - 1] == " " and line[col] != " " for line in lines[1:])
+
+
+class TestStreaming:
+    class _Probe:
+        """Stands in for stdout and notes how many classify calls preceded each write."""
+
+        def __init__(self, calls):
+            self.calls = calls
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append((self.calls[0], text))
+            return len(text)
+
+        def flush(self):
+            pass
+
+    def probe(self, monkeypatch):
+        calls = [0]
+        real = cli.classify
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "classify", counting)
+        probe = self._Probe(calls)
+        monkeypatch.setattr(sys, "stdout", probe)
+        return probe
+
+    def test_json_record_written_after_its_own_classify(self, monkeypatch):
+        probe = self.probe(monkeypatch)
+        assert main(["enumerate", "--kind", "A", "--rank", "6", "--format", "json"]) == 0
+        assert probe.calls[0] == 64
+        first_calls, first_text = probe.writes[0]
+        assert first_calls < 64 and json.loads(first_text)["coloring"] == [0] * 6
+        # one write per record, each right after the classify that made it
+        assert [n for n, _ in probe.writes] == list(range(1, 65))
+
+    def test_csv_header_before_first_classify(self, monkeypatch):
+        probe = self.probe(monkeypatch)
+        assert main(["enumerate", "--kind", "C", "--rank", "4", "--by-blocks", "--format", "csv"]) == 0
+        assert probe.writes[0] == (0, ",".join(RECORD_KEYS) + "\r\n")
+        assert [n for n, _ in probe.writes[1:]] == list(range(1, probe.calls[0] + 1))
+
+    def test_table_waits_for_last_row(self, monkeypatch):
+        probe = self.probe(monkeypatch)
+        assert main(["enumerate", "--kind", "D", "--rank", "4"]) == 0
+        assert {n for n, _ in probe.writes} == {16}
+
+    def test_closed_pipe_exits_quietly(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(richardson.__file__).parents[1]))
+        argv = [sys.executable, "-m", "richardson.cli", "enumerate", "--kind", "A", "--rank", "10"]
+        proc = subprocess.Popen(
+            [*argv, "--format", "json"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the reader goes away, like `| head -1`
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert json.loads(first)["kind"] == "A10"
+        assert err == b""
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -176,6 +303,15 @@ class TestVerify:
 
     def test_zero_trials_exit_2(self, capsys):
         assert_usage_error(capsys, "verify", "--trials", "0")
+
+    @pytest.mark.parametrize("max_n", ["1", "0", "-3", "x"])
+    def test_max_n_without_cases_exit_2(self, capsys, max_n):
+        assert_usage_error(capsys, "verify", "--max-N", max_n)
+
+    def test_smallest_max_n_checks_a1(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--kind", "A", "--max-N", "2")
+        assert code == 0
+        assert "checked 2 nice block vectors (N <= 2): 0 discrepancies" in out
 
 
 class TestExport:

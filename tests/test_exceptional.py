@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from richardson.core import Coloring, LieKind, UnsupportedKindError, all_colorings
+from richardson import exceptional
+from richardson.core import Coloring, InvariantError, LieKind, UnsupportedKindError, all_colorings
 from richardson.exceptional import (
     E7_NON_BIRATIONAL,
     NON_SL2_ORBITS,
@@ -54,6 +55,12 @@ class TestRootSystems:
     def test_classical_rejected(self):
         with pytest.raises(UnsupportedKindError):
             root_system(LieKind("A", 3))
+
+    def test_wrong_root_count_raises_invariant_error(self, monkeypatch):
+        monkeypatch.setitem(exceptional._POSITIVE_COUNT, "G2", 7)
+        # __wrapped__ bypasses the lru_cache, so the closure really runs again
+        with pytest.raises(InvariantError, match="found 6 positive roots, expected 7"):
+            root_system.__wrapped__(kind("G2"))
 
 
 class TestGrading:

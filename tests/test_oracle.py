@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from richardson import oracle
 from richardson.classify import classify, is_nice
-from richardson.core import BlockVector, Coloring, LieKind, all_block_vectors, all_colorings, blocks_from_coloring
+from richardson.core import BlockVector, Coloring, InvariantError, LieKind, all_block_vectors, all_colorings, blocks_from_coloring
 from richardson.oracle import (
     CertificateError,
     ExactMatrix,
@@ -92,6 +93,11 @@ class TestRealization:
     def test_type_a_traceless(self):
         real = realization(LieKind("A", 4))
         assert all(elt.trace() == 0 for elt in real.basis)
+
+    def test_short_basis_raises_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_basis_matrices", lambda kind: [ExactMatrix.identity(3)])
+        with pytest.raises(InvariantError, match="built 1 basis matrices, expected dim 8"):
+            oracle.MatrixRealization(LieKind("A", 2))
 
     def test_contains(self):
         real = realization(LieKind("C", 2))

@@ -1,7 +1,10 @@
+import builtins
+
 import pytest
 
+from richardson import partitions
 from richardson.classify import is_nice
-from richardson.core import BlockVector, LieKind, n_odd, transpose
+from richardson.core import BlockVector, InvariantError, LieKind, n_odd, transpose
 from richardson.partitions import (
     FormulaDomainError,
     InvalidKernelProfileError,
@@ -78,6 +81,12 @@ class TestPartitionBCD:
 
     def test_so8_even(self):
         assert partition_bcd(BlockVector(LieKind("D", 4), (2, 2), None)) == (4, 4)
+
+    def test_wrong_size_raises_invariant_error(self, monkeypatch):
+        # a closed form that loses a box must fail loudly, also under python -O
+        monkeypatch.setattr(partitions, "_partition_bcd", lambda fam, s, c: (4, 3))
+        with pytest.raises(InvariantError, match="does not sum to N = 8"):
+            partition_bcd(BlockVector(LieKind("C", 4), (2, 2), None))
 
     def test_full_levi_is_zero_orbit(self):
         assert partition_bcd(BlockVector(LieKind("B", 3), (), 7)) == (1,) * 7
@@ -186,3 +195,12 @@ class TestKernelProfile:
             partition_from_kernel_dims((0, 3, 2))
         with pytest.raises(InvalidKernelProfileError):
             partition_from_kernel_dims((0, 1, 3))  # increments increase
+
+    def test_lost_part_raises_invariant_error(self, monkeypatch):
+        # drop the largest part after sorting; the parts no longer sum to dim ker
+        monkeypatch.setattr(
+            partitions, "sorted", lambda xs, reverse: builtins.sorted(xs, reverse=reverse)[1:],
+            raising=False,
+        )
+        with pytest.raises(InvariantError, match="dim ker X\\^m = 4"):
+            partition_from_kernel_dims((0, 2, 4))
