@@ -2,10 +2,13 @@
 equality, sl2 origin, normality of the orbit closure, covering degree.
 
 All predicates on B/C/D evaluate the ascending rearrangement of the half
-block vector: conjugate Levi factors give conjugate Richardson elements, so
-every property decided here depends only on the multiset of block sizes.
-Type A keeps the given block order (its criteria are genuinely order
-sensitive).
+block vector.  Conjugate Levi factors give conjugate Richardson elements, so
+the Richardson orbit and its partition depend only on the multiset of block
+sizes.  Niceness does not: it is a property of the grading, which depends on
+the block order.  C3 with coloring [0,1,1] (blocks 2,1, no centre) is
+reported nice, yet its graded dimensions g_1, g_2, g_3 = 3, 2, 3 rule that
+out; making ``nice`` order-aware is ROADMAP item 1.  Type A keeps the given
+block order (its criteria are genuinely order sensitive).
 """
 
 from __future__ import annotations

@@ -61,6 +61,8 @@ class InvariantError(RuntimeError):
     not a bad input.  Raised instead of ``assert`` so ``python -O`` keeps it."""
 
 
+# smallest rank of each classical family
+MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _EXC_DIM = {("G", 2): 14, ("F", 4): 52, ("E", 6): 78, ("E", 7): 133, ("E", 8): 248}
 _KIND_RE = re.compile(r"^([A-G])(\d+)$")
 
@@ -74,15 +76,10 @@ class LieKind:
 
     def __post_init__(self) -> None:
         fam, n = self.family, self.rank
-        ok = {
-            "A": n >= 1,
-            "B": n >= 2,
-            "C": n >= 2,
-            "D": n >= 3,
-            "E": n in (6, 7, 8),
-            "F": n == 4,
-            "G": n == 2,
-        }.get(fam)
+        if fam in MIN_RANK:
+            ok = n >= MIN_RANK[fam]
+        else:
+            ok = {"E": n in (6, 7, 8), "F": n == 4, "G": n == 2}.get(fam)
         if ok is None:
             raise DescriptorError(f"unknown family {fam!r}")
         if not ok:
@@ -222,10 +219,6 @@ class BlockVector:
             return self.d
         mid = (self.central,) if self.central is not None else ()
         return self.d + mid + tuple(reversed(self.d))
-
-    @property
-    def block_count(self) -> int:
-        return len(self.full_blocks())
 
     def sorted_d(self) -> tuple[int, ...]:
         """Ascending rearrangement of d (canonical conjugate-Levi form)."""

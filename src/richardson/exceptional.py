@@ -4,8 +4,8 @@ and the classification data for G2, F4, E6, E7, E8.
 Which exceptional parabolics carry a Richardson element in the first graded
 part (and whether its stabilizers in P and G agree) is not recomputed from
 scratch; it is encoded data, checked against the graded dimensions where
-reference values exist.  Orbit dimensions are always recomputable from the
-root system as dim g - dim g_0.
+reference values exist.  Orbit dimensions are always computed from the root
+system as dim g - dim g_0.
 """
 
 from __future__ import annotations
@@ -287,14 +287,14 @@ E7_NON_BIRATIONAL = (
 )
 
 # Parabolics with a Richardson element in the first graded part that are not
-# induced by an sl2-triple, with orbit dimension and Bala-Carter label.
+# induced by an sl2-triple, with the Bala-Carter label of the Richardson orbit.
 NON_SL2_ORBITS = {
-    ("E7", (1, 1, 0, 0, 1, 0, 1)): (118, "D_6"),
-    ("E7", (1, 1, 0, 0, 0, 0, 1)): (106, "D_5(a_1)"),
-    ("E7", (0, 1, 1, 0, 0, 1, 1)): (118, "D_6"),
-    ("E7", (0, 0, 1, 0, 0, 0, 1)): (104, "A_4+A_1"),
-    ("E7", (0, 0, 0, 0, 1, 0, 1)): (104, "A_4+A_1"),
-    ("E8", (0, 0, 1, 0, 0, 0, 1, 0)): (216, "D_6"),
+    ("E7", (1, 1, 0, 0, 1, 0, 1)): "D_6",
+    ("E7", (1, 1, 0, 0, 0, 0, 1)): "D_5(a_1)",
+    ("E7", (0, 1, 1, 0, 0, 1, 1)): "D_6",
+    ("E7", (0, 0, 1, 0, 0, 0, 1)): "A_4+A_1",
+    ("E7", (0, 0, 0, 0, 1, 0, 1)): "A_4+A_1",
+    ("E8", (0, 0, 1, 0, 0, 0, 1, 0)): "D_6",
 }
 
 
@@ -311,11 +311,10 @@ class ExceptionalRecord:
 
     kind: LieKind
     coloring: Coloring
-    in_appendix: bool
     nice: bool
     birational: bool
     sl2_given: bool
-    orbit_dim: int | None
+    orbit_dim: int
     bala_carter_label: str | None
 
 
@@ -325,22 +324,16 @@ def exceptional_lookup(coloring: Coloring) -> ExceptionalRecord:
     if not kind.is_exceptional:
         raise UnsupportedKindError(f"exceptional lookup on classical kind {kind.name}")
     u = coloring.u
-    in_appendix = u in _APPENDIX[kind.name]
-    nice = in_appendix or (kind.name == "E7" and u in E7_NON_BIRATIONAL)
-    listed = NON_SL2_ORBITS.get((kind.name, u))
-    sl2 = nice and listed is None
-    if listed is not None:
-        dim, label = listed
-    else:
-        dim, label = orbit_dim(root_system(kind), coloring), None
+    birational = u in _APPENDIX[kind.name]
+    nice = birational or (kind.name == "E7" and u in E7_NON_BIRATIONAL)
+    label = NON_SL2_ORBITS.get((kind.name, u))
     return ExceptionalRecord(
         kind=kind,
         coloring=coloring,
-        in_appendix=in_appendix,
         nice=nice,
-        birational=in_appendix,
-        sl2_given=sl2,
-        orbit_dim=dim,
+        birational=birational,
+        sl2_given=nice and label is None,
+        orbit_dim=orbit_dim(root_system(kind), coloring),
         bala_carter_label=label,
     )
 

@@ -20,7 +20,7 @@ import random
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     BlockVector,
@@ -184,7 +184,7 @@ class MatrixRealization:
         self.kind = kind
         self.N = kind.matrix_size
         self.form = _form_matrix(kind)
-        self.basis = tuple(_basis_matrices(kind))
+        self.basis = tuple(_root_vectors(kind, lambda i, j: True))
         if len(self.basis) != kind.dim:
             raise InvariantError(
                 f"{kind.name}: built {len(self.basis)} basis matrices, expected dim {kind.dim}"
@@ -239,30 +239,34 @@ def _pair_element(fam: str, N: int, i: int, j: int) -> ExactMatrix | None:
     return ExactMatrix(rows)
 
 
-def _basis_matrices(kind: LieKind) -> list[ExactMatrix]:
+def _root_vectors(kind: LieKind, keep: Callable[[int, int], bool]) -> list[ExactMatrix]:
+    """Basis elements of the realization whose leading position (i, j) passes
+    ``keep``, in row-major order of leading position.
+
+    Cartan elements lead at (i, i): E_ii - E_{i+1,i+1} in type A and
+    E_ii - E_{N-1-i,N-1-i} in B/C/D.  ``keep`` must be symmetric under the
+    mirror (i, j) -> (N-1-j, N-1-i) for B/C/D, as every block predicate is.
+    """
     N = kind.matrix_size
     fam = kind.family
     out: list[ExactMatrix] = []
-    if fam == "A":
-        for i in range(N - 1):  # Cartan: E_ii - E_{i+1,i+1}
-            rows = _single(N, i, i)
-            rows[i + 1][i + 1] = -1
-            out.append(ExactMatrix(rows))
-        for i in range(N):
-            for j in range(N):
-                if i != j:
-                    out.append(ExactMatrix(_single(N, i, j)))
-        return out
     seen: set[tuple[int, int]] = set()
     for i in range(N):
         for j in range(N):
-            if (i, j) in seen:
+            if not keep(i, j):
                 continue
-            seen.add((i, j))
-            seen.add((N - 1 - j, N - 1 - i))
-            elt = _pair_element(fam, N, i, j)
-            if elt is not None:
-                out.append(elt)
+            if fam != "A":
+                if (i, j) not in seen:
+                    seen.add((N - 1 - j, N - 1 - i))
+                    elt = _pair_element(fam, N, i, j)
+                    if elt is not None:
+                        out.append(elt)
+            elif i != j:
+                out.append(ExactMatrix(_single(N, i, j)))
+            elif i < N - 1:
+                rows = _single(N, i, i)
+                rows[i + 1][i + 1] = -1
+                out.append(ExactMatrix(rows))
     return out
 
 
@@ -275,57 +279,16 @@ def realization(kind: LieKind) -> MatrixRealization:
 # nilradicals and Levi factors
 
 
-def _block_index(blocks: Sequence[int]) -> list[int]:
-    idx: list[int] = []
-    for k, size in enumerate(blocks):
-        idx += [k] * size
-    return idx
-
-
-def _region_basis(b: BlockVector, same_block: bool) -> list[ExactMatrix]:
-    """Basis elements supported on the strict-upper-block (or diagonal-block)
-    region, in row-major order of leading position."""
-    kind = b.kind
-    N = kind.matrix_size
-    fam = kind.family
-    blk = _block_index(b.full_blocks())
-
-    def in_region(i: int, j: int) -> bool:
-        return blk[i] == blk[j] if same_block else blk[i] < blk[j]
-
-    out: list[ExactMatrix] = []
-    if fam == "A":
-        if same_block:
-            for i in range(N - 1):
-                rows = _single(N, i, i)
-                rows[i + 1][i + 1] = -1
-                out.append(ExactMatrix(rows))
-        for i in range(N):
-            for j in range(N):
-                if i != j and in_region(i, j):
-                    out.append(ExactMatrix(_single(N, i, j)))
-        return out
-    seen: set[tuple[int, int]] = set()
-    for i in range(N):
-        for j in range(N):
-            if (i, j) in seen or not in_region(i, j):
-                continue
-            seen.add((i, j))
-            seen.add((N - 1 - j, N - 1 - i))
-            elt = _pair_element(fam, N, i, j)
-            if elt is not None:
-                out.append(elt)
-    return out
-
-
 def nilradical_basis(b: BlockVector) -> list[ExactMatrix]:
     """Basis of the nilradical (strictly upper-block part of g)."""
-    return _region_basis(b, same_block=False)
+    blk = [k for k, size in enumerate(b.full_blocks()) for _ in range(size)]
+    return _root_vectors(b.kind, lambda i, j: blk[i] < blk[j])
 
 
 def levi_dim(b: BlockVector) -> int:
     """dim m: block-diagonal part of g, counted from the realization."""
-    return len(_region_basis(b, same_block=True))
+    blk = [k for k, size in enumerate(b.full_blocks()) for _ in range(size)]
+    return len(_root_vectors(b.kind, lambda i, j: blk[i] == blk[j]))
 
 
 def generic_nilradical_element(b: BlockVector, seed: int) -> ExactMatrix:

@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .classify import is_birational_by_blocks, is_birational_by_partition, is_nice
-from .core import BlockVector, LieKind, all_block_vectors
+from .core import MIN_RANK, BlockVector, LieKind, all_block_vectors
 from .oracle import oracle_partition_detail
 from .partitions import richardson_partition
 
 __all__ = ["VerificationResult", "classical_kinds_up_to", "iter_nice", "run_verification"]
-
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
 @dataclass
@@ -35,7 +33,7 @@ class VerificationResult:
 def classical_kinds_up_to(families: Sequence[str], max_n: int) -> Iterator[LieKind]:
     """All classical kinds whose matrix size is at most max_n."""
     for fam in families:
-        rank = _MIN_RANK[fam]
+        rank = MIN_RANK[fam]
         while True:
             kind = LieKind(fam, rank)
             if kind.matrix_size > max_n:
@@ -56,7 +54,6 @@ def run_verification(
     max_n: int = 12,
     trials: int = 3,
     base_seed: int = 1,
-    with_oracle: bool = True,
     emit: Callable[[str], None] | None = None,
 ) -> VerificationResult:
     """Sweep all nice block vectors with matrix size <= max_n.
@@ -75,12 +72,11 @@ def run_verification(
             problems.append(
                 f"block criteria say birational={bir_blocks} but the partition test says {bir_part}"
             )
-        if with_oracle:
-            oracle_lam, certified = oracle_partition_detail(b, trials, base_seed)
-            if oracle_lam != lam:
-                problems.append(f"closed form {lam} != oracle {oracle_lam}")
-            if not certified:
-                problems.append("no sample certified generic (dim g^X != dim m)")
+        oracle_lam, certified = oracle_partition_detail(b, trials, base_seed)
+        if oracle_lam != lam:
+            problems.append(f"closed form {lam} != oracle {oracle_lam}")
+        if not certified:
+            problems.append("no sample certified generic (dim g^X != dim m)")
         result.checked += 1
         if problems:
             result.failures.append(f"{label}: " + "; ".join(problems))

@@ -314,6 +314,20 @@ class TestVerify:
         assert "checked 2 nice block vectors (N <= 2): 0 discrepancies" in out
 
 
+@pytest.mark.parametrize(
+    "command,flag,dest",
+    [("enumerate", "--rank", "rank"), ("enumerate", "--max-rank", "max_rank"), ("verify", "--max-N", "max_n")],
+)
+def test_sizes_above_16_are_usage_errors(capsys, command, flag, dest):
+    # parse only: running the command at such a size would take hours
+    parser = cli._build_parser()
+    assert getattr(parser.parse_args([command, "--kind", "A", flag, "16"]), dest) == 16
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--kind", "A", flag, "17"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestExport:
     def test_f4_rows(self, capsys, tmp_path):
         out_file = tmp_path / "f4.json"

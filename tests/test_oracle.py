@@ -95,7 +95,7 @@ class TestRealization:
         assert all(elt.trace() == 0 for elt in real.basis)
 
     def test_short_basis_raises_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_basis_matrices", lambda kind: [ExactMatrix.identity(3)])
+        monkeypatch.setattr(oracle, "_root_vectors", lambda kind, keep: [ExactMatrix.identity(3)])
         with pytest.raises(InvariantError, match="built 1 basis matrices, expected dim 8"):
             oracle.MatrixRealization(LieKind("A", 2))
 
@@ -135,6 +135,25 @@ class TestNilradical:
         for kind in classical_kinds_up_to(("A", "B", "C", "D"), 9):
             for b in all_block_vectors(kind):
                 assert 2 * len(nilradical_basis(b)) + levi_dim(b) == kind.dim
+
+    def test_nilradical_and_levi_are_disjoint_parts_of_the_basis(self, monkeypatch):
+        walk = oracle._root_vectors
+        built = []
+
+        def recording_walk(kind, keep):
+            built.append(walk(kind, keep))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "_root_vectors", recording_walk)
+        for kind in classical_kinds_up_to(("A", "B", "C", "D"), 8):
+            basis = set(realization(kind).basis)
+            for b in all_block_vectors(kind):
+                nil = nilradical_basis(b)
+                levi_dim(b)
+                levi = built[-1]
+                assert len(set(nil)) == len(nil) and len(set(levi)) == len(levi)
+                assert set(nil) <= basis and set(levi) <= basis
+                assert set(nil).isdisjoint(levi), b
 
     def test_levi_dim_values(self):
         assert levi_dim(BlockVector(LieKind("A", 3), (1, 2, 1))) == 5

@@ -1,6 +1,8 @@
 """Source-level guards on the library itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import richardson
@@ -17,3 +19,18 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements in the library: {found}"
+
+
+def test_traced_functions_resolve():
+    # the benchmark traces these by name; a missing one would only show as "absent"
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.TRACED) == 16
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fn in tracing.TRACED
+        if not callable(getattr(importlib.import_module(f"richardson.{mod}"), fn, None))
+    ]
+    assert missing == []
