@@ -124,6 +124,17 @@ class TestAppendixData:
                 assert dim % 2 == 0
                 assert 0 <= dim <= rs.dim - rs.rank
 
+    def test_stored_dims_match_recomputed(self):
+        # the table stores only labels; the paper's dimensions are pinned here
+        paper_dims = {"D_6": {"E7": 118, "E8": 216}, "D_5(a_1)": {"E7": 106}, "A_4+A_1": {"E7": 104}}
+        for (name, u), label in NON_SL2_ORBITS.items():
+            rs = root_system(kind(name))
+            c = Coloring(rs.kind, u)
+            rec = exceptional_lookup(c)
+            assert rec.bala_carter_label == label
+            assert rec.nice and not rec.sl2_given
+            assert rec.orbit_dim == rs.dim - dim_g0(c) == paper_dims[label][name]
+
     def test_duplicate_free(self):
         for name in EXC:
             rows = appendix_colorings(kind(name))
