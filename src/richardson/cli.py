@@ -252,6 +252,8 @@ def _cmd_enumerate(args) -> int:
     if kind_text in _EXC_NAMES:
         if args.by_blocks:
             raise DescriptorError("--by-blocks applies to classical kinds only")
+        if args.rank is not None or args.max_rank is not None:
+            raise DescriptorError("--rank/--max-rank apply to classical kinds only")
         kinds = [LieKind.parse(kind_text)]
     elif len(kind_text) == 1 and kind_text in "ABCD":
         if args.rank is None and args.max_rank is None:

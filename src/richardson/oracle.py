@@ -2,12 +2,16 @@
 algebras, generic nilradical elements, and exact-arithmetic Jordan types
 and centralizer dimensions.
 
-Everything here is exact and runs on one integer matrix type.  Jordan types
-come from ranks of integer matrix powers via fraction-free (Bareiss)
-elimination.  The genericity certificate ``dim g^X = dim m`` reads dim g^X
-off the exact Jordan type of X (Collingwood-McGovern, *Nilpotent Orbits in
-Semisimple Lie Algebras*, Cor. 6.1.4); ``dim m`` is a lower bound for it
-whenever X lies in the nilradical, with equality exactly when X is a
+Everything here is exact and runs on one integer matrix type.  One walker,
+:func:`_root_entries`, lists the nonzero entries of the basis elements; a
+generic nilradical element is written from those sparse entries into one
+N x N array, and dense basis matrices are built only where a caller reads
+them.  Jordan types come from ranks of integer matrix powers via
+fraction-free (Bareiss) elimination.  The genericity certificate
+``dim g^X = dim g - 2 dim n`` reads dim g^X off the exact Jordan type of X
+(Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie Algebras*,
+Cor. 6.1.4); the right side, which equals dim m, is a lower bound for it
+whenever X lies in the nilradical n, with equality exactly when X is a
 Richardson element.  The rank of ``ad(X)`` on ``g`` gives the same dimension
 independently and serves as the reference in tests.  No floating point is
 used anywhere.
@@ -19,8 +23,8 @@ import operator
 import random
 import warnings
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     BlockVector,
@@ -176,6 +180,10 @@ class MatrixRealization:
     Type A: trace-zero matrices.  B/D: the orthogonal algebra of the
     symmetric form with 1s on the skew diagonal.  C: the symplectic algebra
     of the skew-diagonal form whose first n entries are 1 and last n are -1.
+
+    The dense ``basis`` is built on first read: only the ad-rank reference
+    :func:`centralizer_dim` needs it, and the oracle's sampling path never
+    does.
     """
 
     def __init__(self, kind: LieKind):
@@ -184,11 +192,15 @@ class MatrixRealization:
         self.kind = kind
         self.N = kind.matrix_size
         self.form = _form_matrix(kind)
-        self.basis = tuple(_root_vectors(kind, lambda i, j: True))
-        if len(self.basis) != kind.dim:
+
+    @cached_property
+    def basis(self) -> tuple[ExactMatrix, ...]:
+        basis = tuple(_root_vectors(self.kind, lambda i, j: True))
+        if len(basis) != self.kind.dim:
             raise InvariantError(
-                f"{kind.name}: built {len(self.basis)} basis matrices, expected dim {kind.dim}"
+                f"{self.kind.name}: built {len(basis)} basis matrices, expected dim {self.kind.dim}"
             )
+        return basis
 
     @property
     def dim(self) -> int:
@@ -216,32 +228,17 @@ def _form_matrix(kind: LieKind) -> ExactMatrix | None:
     return ExactMatrix(rows)
 
 
-def _single(N: int, i: int, j: int, v: int = 1) -> list[list[int]]:
-    rows = [[0] * N for _ in range(N)]
-    rows[i][j] = v
-    return rows
-
-
 def _sign(N: int, i: int) -> int:
     # symplectic form signs (0-based): +1 in the first half, -1 in the second
     return 1 if i < N // 2 else -1
 
 
-def _pair_element(fam: str, N: int, i: int, j: int) -> ExactMatrix | None:
-    """Basis element of so/sp with leading entry at (i, j), or None if zero."""
-    pi, pj = N - 1 - j, N - 1 - i
-    if (i, j) == (pi, pj):  # skew diagonal
-        if fam == "C":
-            return ExactMatrix(_single(N, i, j))
-        return None
-    rows = _single(N, i, j)
-    rows[pi][pj] = -(_sign(N, i) * _sign(N, j)) if fam == "C" else -1
-    return ExactMatrix(rows)
-
-
-def _root_vectors(kind: LieKind, keep: Callable[[int, int], bool]) -> list[ExactMatrix]:
-    """Basis elements of the realization whose leading position (i, j) passes
-    ``keep``, in row-major order of leading position.
+def _root_entries(
+    kind: LieKind, keep: Callable[[int, int], bool]
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Nonzero ``(i, j, v)`` entries of each basis element of the realization
+    whose leading position (i, j) passes ``keep``, in row-major order of
+    leading position and row-major order within an element.
 
     Cartan elements lead at (i, i): E_ii - E_{i+1,i+1} in type A and
     E_ii - E_{N-1-i,N-1-i} in B/C/D.  ``keep`` must be symmetric under the
@@ -249,24 +246,36 @@ def _root_vectors(kind: LieKind, keep: Callable[[int, int], bool]) -> list[Exact
     """
     N = kind.matrix_size
     fam = kind.family
-    out: list[ExactMatrix] = []
     seen: set[tuple[int, int]] = set()
     for i in range(N):
         for j in range(N):
             if not keep(i, j):
                 continue
             if fam != "A":
-                if (i, j) not in seen:
-                    seen.add((N - 1 - j, N - 1 - i))
-                    elt = _pair_element(fam, N, i, j)
-                    if elt is not None:
-                        out.append(elt)
+                if (i, j) in seen:
+                    continue
+                pi, pj = N - 1 - j, N - 1 - i
+                seen.add((pi, pj))
+                if (i, j) != (pi, pj):
+                    v = -(_sign(N, i) * _sign(N, j)) if fam == "C" else -1
+                    yield ((i, j, 1), (pi, pj, v))
+                elif fam == "C":  # skew diagonal: zero in so, E_ij in sp
+                    yield ((i, j, 1),)
             elif i != j:
-                out.append(ExactMatrix(_single(N, i, j)))
+                yield ((i, j, 1),)
             elif i < N - 1:
-                rows = _single(N, i, i)
-                rows[i + 1][i + 1] = -1
-                out.append(ExactMatrix(rows))
+                yield ((i, i, 1), (i + 1, i + 1, -1))
+
+
+def _root_vectors(kind: LieKind, keep: Callable[[int, int], bool]) -> list[ExactMatrix]:
+    """The elements of :func:`_root_entries` as dense matrices, in its order."""
+    N = kind.matrix_size
+    out: list[ExactMatrix] = []
+    for entries in _root_entries(kind, keep):
+        rows = [[0] * N for _ in range(N)]
+        for i, j, v in entries:
+            rows[i][j] = v
+        out.append(ExactMatrix(rows))
     return out
 
 
@@ -279,10 +288,14 @@ def realization(kind: LieKind) -> MatrixRealization:
 # nilradicals and Levi factors
 
 
+def _nilradical_keep(b: BlockVector) -> Callable[[int, int], bool]:
+    blk = [k for k, size in enumerate(b.full_blocks()) for _ in range(size)]
+    return lambda i, j: blk[i] < blk[j]
+
+
 def nilradical_basis(b: BlockVector) -> list[ExactMatrix]:
     """Basis of the nilradical (strictly upper-block part of g)."""
-    blk = [k for k, size in enumerate(b.full_blocks()) for _ in range(size)]
-    return _root_vectors(b.kind, lambda i, j: blk[i] < blk[j])
+    return _root_vectors(b.kind, _nilradical_keep(b))
 
 
 def levi_dim(b: BlockVector) -> int:
@@ -292,17 +305,18 @@ def levi_dim(b: BlockVector) -> int:
 
 
 def generic_nilradical_element(b: BlockVector, seed: int) -> ExactMatrix:
-    """Random integer combination of the nilradical basis, deterministic in seed."""
+    """Random integer combination of the nilradical basis, deterministic in seed.
+
+    The coefficients are drawn in basis order, and each ``c * v`` is written
+    straight into one N x N array from the sparse entries.
+    """
     rng = random.Random(seed)
-    basis = nilradical_basis(b)
     N = b.kind.matrix_size
     total = [[0] * N for _ in range(N)]
-    for elt in basis:
+    for entries in _root_entries(b.kind, _nilradical_keep(b)):
         c = rng.randint(*COEFF_RANGE)
-        for i, row in enumerate(elt.data):
-            for j, v in enumerate(row):
-                if v:
-                    total[i][j] += c * v
+        for i, j, v in entries:
+            total[i][j] += c * v
     return ExactMatrix(total)
 
 
@@ -384,14 +398,17 @@ def oracle_partition_detail(
     """Jordan type of a generic nilradical element plus a genericity flag.
 
     Samples seeds base_seed .. base_seed+trials-1 and stops at the first
-    sample certified generic by dim g^X = dim m: its Jordan type is the
-    Richardson partition, which no other sample can dominate.  If no sample
-    certifies, the dominance-largest Jordan type found is returned with the
-    flag False.
+    sample certified generic by dim g^X = dim g - 2 dim n (= dim m): its
+    Jordan type is the Richardson partition, which no other sample can
+    dominate.  If no sample certifies, the dominance-largest Jordan type
+    found is returned with the flag False.
+
+    The bound holds for every X in n: [p, X] lies in n and [n^-, X] has at
+    most dim n^- = dim n dimensions, so dim [g, X] <= 2 dim n.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    target = levi_dim(b)
+    target = b.kind.dim - 2 * sum(1 for _ in _root_entries(b.kind, _nilradical_keep(b)))
     n = b.kind.matrix_size
     best: tuple[int, ...] = ()
     for t in range(trials):

@@ -179,6 +179,8 @@ class TestEnumerate:
         assert run_cli(capsys, "enumerate", "--kind", "C")[0] == 2
         assert run_cli(capsys, "enumerate", "--kind", "C", "--rank", "2", "--max-rank", "3")[0] == 2
         assert run_cli(capsys, "enumerate", "--kind", "C3", "--rank", "2")[0] == 2
+        assert run_cli(capsys, "enumerate", "--kind", "G2", "--rank", "5")[0] == 2
+        assert run_cli(capsys, "enumerate", "--kind", "E8", "--max-rank", "8")[0] == 2
 
     @pytest.mark.parametrize(
         "base",

@@ -95,9 +95,17 @@ class TestRealization:
         assert all(elt.trace() == 0 for elt in real.basis)
 
     def test_short_basis_raises_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_root_vectors", lambda kind, keep: [ExactMatrix.identity(3)])
+        calls = []
+
+        def short_walk(kind, keep):
+            calls.append(kind)
+            return [ExactMatrix.identity(3)]
+
+        monkeypatch.setattr(oracle, "_root_vectors", short_walk)
+        real = oracle.MatrixRealization(LieKind("A", 2))
+        assert calls == []  # the dense basis is built on first read only
         with pytest.raises(InvariantError, match="built 1 basis matrices, expected dim 8"):
-            oracle.MatrixRealization(LieKind("A", 2))
+            real.basis
 
     def test_contains(self):
         real = realization(LieKind("C", 2))
@@ -129,6 +137,22 @@ class TestNilradical:
             for j in range(4):
                 if blocks[i] >= blocks[j]:
                     assert x.data[i][j] == 0
+
+    def test_generic_element_is_the_dense_combination(self):
+        # the sparse assembly against sum c * e over the dense basis, with the
+        # coefficients drawn in the same order
+        for kind in classical_kinds_up_to(("A", "B", "C", "D"), 10):
+            for b in all_block_vectors(kind):
+                for seed in (1, 8):
+                    rng = random.Random(seed)
+                    want = [[0] * kind.matrix_size for _ in range(kind.matrix_size)]
+                    for elt in nilradical_basis(b):
+                        c = rng.randint(*oracle.COEFF_RANGE)
+                        for i, row in enumerate(elt.data):
+                            for j, v in enumerate(row):
+                                want[i][j] += c * v
+                    got = generic_nilradical_element(b, seed)
+                    assert got == ExactMatrix(want), (kind.name, b.d, b.central)
 
     def test_dim_counts(self):
         # nilradical + levi + opposite nilradical spans g
