@@ -50,10 +50,8 @@ from .exceptional import (
 from .oracle import (
     ExactMatrix,
     MatrixRealization,
-    centralizer_dim,
     generic_nilradical_element,
     jordan_partition,
-    levi_blocks_from_matrices,
     levi_dim,
     oracle_richardson_partition,
     realization,
@@ -64,7 +62,6 @@ from .partitions import (
     partition_bcd,
     partition_from_kernel_dims,
     partition_type_a,
-    rank_and_kernel,
     richardson_partition,
 )
 from .verify import run_verification

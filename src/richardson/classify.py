@@ -232,7 +232,6 @@ class ClassificationReport:
     birational_by_partition: bool | None = None
     orbit_dim: int | None = None
     covering_degree: int | None = None
-    bala_carter_label: str | None = None
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 

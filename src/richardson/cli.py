@@ -24,7 +24,6 @@ from .core import (
     Coloring,
     DescriptorError,
     LieKind,
-    all_block_vectors,
     all_colorings,
     blocks_from_coloring,
     coloring_from_blocks,
@@ -73,7 +72,7 @@ def report_to_record(report: ClassificationReport) -> dict:
         "partition": list(report.partition) if report.partition is not None else None,
         "orbit_dim": report.orbit_dim,
         "covering_degree": report.covering_degree,
-        "label": report.bala_carter_label,
+        "label": None,
     }
 
 
@@ -223,18 +222,13 @@ def _cmd_classify(args) -> int:
 
 
 def _iter_enumerate(args, kind: LieKind) -> Iterator[dict]:
-    """One record per parabolic of ``kind``, classified as it is requested."""
-    if kind.is_exceptional:
-        for coloring in all_colorings(kind):
+    """One record per coloring of ``kind``, classified as it is requested;
+    ``--by-blocks`` keeps only canonical colorings, one per Levi shape."""
+    for coloring in all_colorings(kind):
+        if kind.is_exceptional:
             yield exceptional_to_record(exceptional_lookup(coloring))
-        return
-    if args.by_blocks:
-        pairs = [(b, coloring_from_blocks(b)) for b in all_block_vectors(kind)]
-        pairs.sort(key=lambda bc: bc[1].u)
-    else:
-        pairs = ((blocks_from_coloring(c), c) for c in all_colorings(kind))
-    for b, coloring in pairs:
-        yield report_to_record(classify(b, coloring=coloring))
+        elif not args.by_blocks or coloring.canonical() == coloring:
+            yield report_to_record(classify(blocks_from_coloring(coloring), coloring=coloring))
 
 
 def _wanted(args, r: dict) -> bool:
@@ -277,7 +271,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     families = ("A", "B", "C", "D") if args.kind == "all" else (args.kind.upper(),)
-    if any(f not in "ABCD" for f in families):
+    if any(f not in ("A", "B", "C", "D") for f in families):
         raise DescriptorError("verify runs on classical kinds: A, B, C, D or all")
     result = run_verification(
         families=families,
@@ -347,7 +341,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, help="A/B/C/D (with --rank) or G2/F4/E6/E7/E8")
     p.add_argument("--rank", type=_rank, default=None)
     p.add_argument("--max-rank", type=_rank, default=None, dest="max_rank")
-    p.add_argument("--by-blocks", action="store_true", dest="by_blocks")
+    p.add_argument(
+        "--by-blocks",
+        action="store_true",
+        dest="by_blocks",
+        help="one record per Levi shape (skips D colorings that name the same parabolic)",
+    )
     p.add_argument("--nice", action="store_true")
     p.add_argument("--birational", action="store_true")
     p.add_argument("--sl2", action="store_true")

@@ -13,8 +13,8 @@ fraction-free (Bareiss) elimination.  The genericity certificate
 Cor. 6.1.4); the right side, which equals dim m, is a lower bound for it
 whenever X lies in the nilradical n, with equality exactly when X is a
 Richardson element.  The rank of ``ad(X)`` on ``g`` gives the same dimension
-independently and serves as the reference in tests.  No floating point is
-used anywhere.
+independently; it lives with the other cross-checks in ``tests/reference.py``.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -22,17 +22,14 @@ from __future__ import annotations
 import operator
 import random
 import warnings
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .core import (
     BlockVector,
-    Coloring,
     InvariantError,
     LieKind,
     UnsupportedKindError,
-    coloring_from_blocks,
     n_odd,
     transpose,
 )
@@ -41,7 +38,6 @@ from .partitions import partition_from_kernel_dims
 __all__ = [
     "ExactMatrix",
     "NotNilpotentError",
-    "MembershipError",
     "CertificateError",
     "MatrixRealization",
     "realization",
@@ -49,9 +45,7 @@ __all__ = [
     "levi_dim",
     "generic_nilradical_element",
     "jordan_partition",
-    "centralizer_dim",
     "oracle_richardson_partition",
-    "levi_blocks_from_matrices",
 ]
 
 COEFF_RANGE = (1, 10**6)
@@ -59,10 +53,6 @@ COEFF_RANGE = (1, 10**6)
 
 class NotNilpotentError(ValueError):
     """Matrix fed to a Jordan-type computation is not nilpotent."""
-
-
-class MembershipError(ValueError):
-    """Matrix does not lie in the expected Lie algebra."""
 
 
 class CertificateError(RuntimeError):
@@ -135,13 +125,6 @@ class ExactMatrix:
         """Exact rank by fraction-free (Bareiss) elimination over Z."""
         return _int_rank([list(row) for row in self.data])
 
-    def kernel_dim(self) -> int:
-        return self.cols - self.rank()
-
-
-def bracket(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-    return (x @ y) + (y @ x).scaled(-1)
-
 
 def _int_rank(m: list[list[int]]) -> int:
     """Rank of an integer matrix, fraction-free elimination, exact division."""
@@ -181,8 +164,8 @@ class MatrixRealization:
     symmetric form with 1s on the skew diagonal.  C: the symplectic algebra
     of the skew-diagonal form whose first n entries are 1 and last n are -1.
 
-    The dense ``basis`` is built on first read: only the ad-rank reference
-    :func:`centralizer_dim` needs it, and the oracle's sampling path never
+    The dense ``basis`` is built on first read: only the ad-rank cross-check
+    in ``tests/reference.py`` needs it, and the oracle's sampling path never
     does.
     """
 
@@ -191,7 +174,6 @@ class MatrixRealization:
             raise UnsupportedKindError(f"no matrix realization for {kind.name}")
         self.kind = kind
         self.N = kind.matrix_size
-        self.form = _form_matrix(kind)
 
     @cached_property
     def basis(self) -> tuple[ExactMatrix, ...]:
@@ -205,27 +187,6 @@ class MatrixRealization:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, x: ExactMatrix) -> bool:
-        if x.rows != self.N or x.cols != self.N:
-            return False
-        if self.form is None:
-            return x.trace() == 0
-        return (x.transposed() @ self.form + self.form @ x).is_zero()
-
-
-def _form_matrix(kind: LieKind) -> ExactMatrix | None:
-    N = kind.matrix_size
-    fam = kind.family
-    if fam == "A":
-        return None
-    rows = [[0] * N for _ in range(N)]
-    for i in range(N):
-        if fam == "C":
-            rows[i][N - 1 - i] = 1 if i < N // 2 else -1
-        else:
-            rows[i][N - 1 - i] = 1
-    return ExactMatrix(rows)
 
 
 def _sign(N: int, i: int) -> int:
@@ -330,27 +291,14 @@ def jordan_partition(x: ExactMatrix) -> tuple[int, ...]:
         raise ValueError("square matrix required")
     n = x.rows
     kdims = [0]
-    power = ExactMatrix.identity(n)
-    for _ in range(n):
-        power = power @ x
+    power = x
+    for k in range(n):
+        if k:
+            power = power @ x
         kdims.append(n - power.rank())
         if kdims[-1] == n:
             return partition_from_kernel_dims(kdims)
     raise NotNilpotentError(f"kernel dimensions stalled at {kdims[-1]} < {n}")
-
-
-def _ad_rows(real: MatrixRealization, x: ExactMatrix) -> list[list[int]]:
-    rows = []
-    for elt in real.basis:
-        rows.append([v for row in bracket(x, elt).data for v in row])
-    return rows
-
-
-def centralizer_dim(real: MatrixRealization, x: ExactMatrix) -> int:
-    """dim {Y in g : [X, Y] = 0}, via the exact rank of ad(X) on g."""
-    if not real.contains(x):
-        raise MembershipError(f"matrix is not in {real.kind.name}")
-    return real.dim - _int_rank(_ad_rows(real, x))
 
 
 def certified_centralizer_dim(
@@ -437,90 +385,3 @@ def oracle_richardson_partition(
         )
     return best
 
-
-# ---------------------------------------------------------------------------
-# independent Levi-block extraction
-
-
-def _solve_fraction(system: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square linear system exactly (unique solution expected)."""
-    n = len(system)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(system)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular grading system")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-def levi_blocks_from_matrices(descriptor: Coloring | BlockVector) -> BlockVector:
-    """Blocks of the standard Levi, read off the realization's grading element.
-
-    Solves alpha_i(H) = u_i for the diagonal of H by exact linear algebra
-    (independently of the conversion in :mod:`.core`) and returns the maximal
-    constant runs of diag(2H).
-    """
-    if isinstance(descriptor, BlockVector):
-        col = coloring_from_blocks(descriptor)
-    else:
-        col = descriptor
-    if not col.kind.is_classical:
-        raise UnsupportedKindError(f"{col.kind.name} has no matrix realization")
-    col = col.canonical()
-    kind, u = col.kind, col.u
-    n = kind.rank
-    N = kind.matrix_size
-    F = Fraction
-    if kind.family == "A":
-        system = [[F(0)] * N for _ in range(N)]
-        rhs = [F(0) for _ in range(N)]
-        for i in range(n):
-            system[i][i] = F(1)
-            system[i][i + 1] = F(-1)
-            rhs[i] = F(u[i])
-        system[n] = [F(1)] * N  # trace normalization
-        a = _solve_fraction(system, rhs)
-        diag = [2 * x for x in a]
-    else:
-        system = [[F(0)] * n for _ in range(n)]
-        rhs = [F(0)] * n
-        for i in range(n - 1):
-            system[i][i] = F(1)
-            system[i][i + 1] = F(-1)
-            rhs[i] = F(u[i])
-        if kind.family == "B":
-            system[n - 1][n - 1] = F(1)
-        elif kind.family == "C":
-            system[n - 1][n - 1] = F(2)
-        else:
-            system[n - 1][n - 2] = F(1)
-            system[n - 1][n - 1] = F(1)
-        rhs[n - 1] = F(u[n - 1])
-        a = _solve_fraction(system, rhs)
-        half = [2 * x for x in a]
-        mid = [F(0)] if kind.family == "B" else []
-        diag = half + mid + [-x for x in reversed(half)]
-    # in type A the grading element is defined only modulo the identity, so
-    # the trace-zero solution may be fractional; runs are shift-invariant
-    blocks: list[int] = []
-    run = 1
-    for prev, cur in zip(diag, diag[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            blocks.append(run)
-            run = 1
-    blocks.append(run)
-    if kind.family == "A":
-        return BlockVector(kind, tuple(blocks))
-    m = len(blocks)
-    if m % 2:
-        return BlockVector(kind, tuple(blocks[: m // 2]), blocks[m // 2])
-    return BlockVector(kind, tuple(blocks[: m // 2]), None)

@@ -25,8 +25,6 @@ __all__ = [
     "partition_type_a",
     "dual_partition_bcd",
     "partition_bcd",
-    "so_even_single_odd_partition",
-    "rank_and_kernel",
     "partition_from_kernel_dims",
 ]
 
@@ -134,58 +132,6 @@ def richardson_partition(b: BlockVector) -> tuple[int, ...]:
     if b.kind.family == "A":
         return partition_type_a(b)
     return partition_bcd(b)
-
-
-def so_even_single_odd_partition(s: Sequence[int]) -> tuple[int, ...]:
-    """Explicit orthogonal even-block partition when exactly one block size is odd.
-
-    Cross-check for the transpose-of-dual route; ``s`` must be ascending with
-    a single odd entry.
-    """
-    s = tuple(s)
-    odd_pos = [k for k, v in enumerate(s, start=1) if v % 2]
-    if len(odd_pos) != 1 or any(s[i] > s[i + 1] for i in range(len(s) - 1)):
-        raise FormulaDomainError("needs an ascending vector with exactly one odd entry")
-    i = odd_pos[0]
-    r = len(s)
-    parts: list[int] = []
-    prev = 0
-    for k, v in enumerate(s, start=1):
-        mult = v - prev
-        if k in (i, i + 1):
-            mult -= 1
-        parts += [2 * (r - k + 1)] * mult
-        if k == i:
-            parts += [2 * (r - k + 1) - 1] * 2
-        prev = v
-    return tuple(sorted((p for p in parts if p), reverse=True))
-
-
-def rank_and_kernel(b: BlockVector) -> tuple[int, int]:
-    """Rank and kernel dimension of a generic nilradical element, odd-block B/C/D.
-
-    rank = 2 * sum(min(d_i, d_{i+1})) + 2 * min(d_r, central) on the ascending
-    arrangement; kernel = N - rank equals the number of Jordan blocks.  Valid
-    for blocks ascending through the center, and for the orthogonal families
-    also when the largest block exceeds the central one by exactly 1; beyond
-    that a generic element picks up rank across non-adjacent blocks and the
-    matrix oracle refutes the formula.
-    """
-    if b.kind.family == "A" or b.central is None:
-        raise FormulaDomainError("rank formula needs a B/C/D vector with a central block")
-    s, c = b.sorted_d(), b.central
-    over = s[-1] - c if s else 0
-    if over > 1 or (over == 1 and b.kind.family == "C"):
-        # beyond ascending-through-center only the orthogonal one-above case
-        # keeps the superdiagonal rank generic (oracle-refuted otherwise)
-        raise FormulaDomainError(
-            f"rank formula does not cover max block {s[-1]} with central {c} in type "
-            f"{b.kind.family}"
-        )
-    rank = 2 * sum(min(s[i], s[i + 1]) for i in range(len(s) - 1))
-    if s:
-        rank += 2 * min(s[-1], c)
-    return rank, b.N - rank
 
 
 def partition_from_kernel_dims(kdims: Sequence[int]) -> tuple[int, ...]:

@@ -1,0 +1,224 @@
+"""Independent cross-checks for the library, used only by the tests.
+
+Each function here computes a quantity a second way, so that the tests can
+hold the library's one path against it:
+
+* :func:`centralizer_dim` reads dim g^X off the exact rank of ad(X) on the
+  dense realization basis, against the Jordan-type closed forms of
+  :func:`richardson.oracle.certified_centralizer_dim`;
+* :func:`levi_blocks_from_matrices` solves for the grading element with
+  exact rationals, against :func:`richardson.core.blocks_from_coloring`;
+* :func:`so_even_single_odd_partition` and :func:`rank_and_kernel` are
+  explicit partition formulas on parts of the closed-form domain.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from richardson.core import (
+    BlockVector,
+    Coloring,
+    LieKind,
+    UnsupportedKindError,
+    coloring_from_blocks,
+)
+from richardson.oracle import ExactMatrix, MatrixRealization, _int_rank
+from richardson.partitions import FormulaDomainError
+
+
+class MembershipError(ValueError):
+    """Matrix does not lie in the expected Lie algebra."""
+
+
+def bracket(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
+    return (x @ y) + (y @ x).scaled(-1)
+
+
+# ---------------------------------------------------------------------------
+# invariant forms and the ad-rank centralizer
+
+
+def form_matrix(kind: LieKind) -> ExactMatrix | None:
+    """The form the realization preserves: None for type A (trace zero), 1s
+    on the skew diagonal for B/D, and for C the skew-diagonal form whose
+    first n entries are 1 and last n are -1."""
+    N = kind.matrix_size
+    fam = kind.family
+    if fam == "A":
+        return None
+    rows = [[0] * N for _ in range(N)]
+    for i in range(N):
+        if fam == "C":
+            rows[i][N - 1 - i] = 1 if i < N // 2 else -1
+        else:
+            rows[i][N - 1 - i] = 1
+    return ExactMatrix(rows)
+
+
+def contains(real: MatrixRealization, x: ExactMatrix) -> bool:
+    if x.rows != real.N or x.cols != real.N:
+        return False
+    form = form_matrix(real.kind)
+    if form is None:
+        return x.trace() == 0
+    return (x.transposed() @ form + form @ x).is_zero()
+
+
+def _ad_rows(real: MatrixRealization, x: ExactMatrix) -> list[list[int]]:
+    rows = []
+    for elt in real.basis:
+        rows.append([v for row in bracket(x, elt).data for v in row])
+    return rows
+
+
+def centralizer_dim(real: MatrixRealization, x: ExactMatrix) -> int:
+    """dim {Y in g : [X, Y] = 0}, via the exact rank of ad(X) on g."""
+    if not contains(real, x):
+        raise MembershipError(f"matrix is not in {real.kind.name}")
+    return real.dim - _int_rank(_ad_rows(real, x))
+
+
+# ---------------------------------------------------------------------------
+# Levi blocks from the grading element
+
+
+def _solve_fraction(system: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve a square linear system exactly (unique solution expected)."""
+    n = len(system)
+    m = [row[:] + [rhs[i]] for i, row in enumerate(system)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular grading system")
+        m[col], m[piv] = m[piv], m[col]
+        pv = m[col][col]
+        m[col] = [x / pv for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+def levi_blocks_from_matrices(descriptor: Coloring | BlockVector) -> BlockVector:
+    """Blocks of the standard Levi, read off the realization's grading element.
+
+    Solves alpha_i(H) = u_i for the diagonal of H by exact linear algebra
+    (independently of the conversion in :mod:`richardson.core`) and returns
+    the maximal constant runs of diag(2H).
+    """
+    if isinstance(descriptor, BlockVector):
+        col = coloring_from_blocks(descriptor)
+    else:
+        col = descriptor
+    if not col.kind.is_classical:
+        raise UnsupportedKindError(f"{col.kind.name} has no matrix realization")
+    col = col.canonical()
+    kind, u = col.kind, col.u
+    n = kind.rank
+    N = kind.matrix_size
+    F = Fraction
+    if kind.family == "A":
+        system = [[F(0)] * N for _ in range(N)]
+        rhs = [F(0) for _ in range(N)]
+        for i in range(n):
+            system[i][i] = F(1)
+            system[i][i + 1] = F(-1)
+            rhs[i] = F(u[i])
+        system[n] = [F(1)] * N  # trace normalization
+        a = _solve_fraction(system, rhs)
+        diag = [2 * x for x in a]
+    else:
+        system = [[F(0)] * n for _ in range(n)]
+        rhs = [F(0)] * n
+        for i in range(n - 1):
+            system[i][i] = F(1)
+            system[i][i + 1] = F(-1)
+            rhs[i] = F(u[i])
+        if kind.family == "B":
+            system[n - 1][n - 1] = F(1)
+        elif kind.family == "C":
+            system[n - 1][n - 1] = F(2)
+        else:
+            system[n - 1][n - 2] = F(1)
+            system[n - 1][n - 1] = F(1)
+        rhs[n - 1] = F(u[n - 1])
+        a = _solve_fraction(system, rhs)
+        half = [2 * x for x in a]
+        mid = [F(0)] if kind.family == "B" else []
+        diag = half + mid + [-x for x in reversed(half)]
+    # in type A the grading element is defined only modulo the identity, so
+    # the trace-zero solution may be fractional; runs are shift-invariant
+    blocks: list[int] = []
+    run = 1
+    for prev, cur in zip(diag, diag[1:]):
+        if cur == prev:
+            run += 1
+        else:
+            blocks.append(run)
+            run = 1
+    blocks.append(run)
+    if kind.family == "A":
+        return BlockVector(kind, tuple(blocks))
+    m = len(blocks)
+    if m % 2:
+        return BlockVector(kind, tuple(blocks[: m // 2]), blocks[m // 2])
+    return BlockVector(kind, tuple(blocks[: m // 2]), None)
+
+
+# ---------------------------------------------------------------------------
+# explicit partition formulas
+
+
+def so_even_single_odd_partition(s: Sequence[int]) -> tuple[int, ...]:
+    """Explicit orthogonal even-block partition when exactly one block size is odd.
+
+    Cross-check for the transpose-of-dual route; ``s`` must be ascending with
+    a single odd entry.
+    """
+    s = tuple(s)
+    odd_pos = [k for k, v in enumerate(s, start=1) if v % 2]
+    if len(odd_pos) != 1 or any(s[i] > s[i + 1] for i in range(len(s) - 1)):
+        raise FormulaDomainError("needs an ascending vector with exactly one odd entry")
+    i = odd_pos[0]
+    r = len(s)
+    parts: list[int] = []
+    prev = 0
+    for k, v in enumerate(s, start=1):
+        mult = v - prev
+        if k in (i, i + 1):
+            mult -= 1
+        parts += [2 * (r - k + 1)] * mult
+        if k == i:
+            parts += [2 * (r - k + 1) - 1] * 2
+        prev = v
+    return tuple(sorted((p for p in parts if p), reverse=True))
+
+
+def rank_and_kernel(b: BlockVector) -> tuple[int, int]:
+    """Rank and kernel dimension of a generic nilradical element, odd-block B/C/D.
+
+    rank = 2 * sum(min(d_i, d_{i+1})) + 2 * min(d_r, central) on the ascending
+    arrangement; kernel = N - rank equals the number of Jordan blocks.  Valid
+    for blocks ascending through the center, and for the orthogonal families
+    also when the largest block exceeds the central one by exactly 1; beyond
+    that a generic element picks up rank across non-adjacent blocks and the
+    matrix oracle refutes the formula.
+    """
+    if b.kind.family == "A" or b.central is None:
+        raise FormulaDomainError("rank formula needs a B/C/D vector with a central block")
+    s, c = b.sorted_d(), b.central
+    over = s[-1] - c if s else 0
+    if over > 1 or (over == 1 and b.kind.family == "C"):
+        # beyond ascending-through-center only the orthogonal one-above case
+        # keeps the superdiagonal rank generic (oracle-refuted otherwise)
+        raise FormulaDomainError(
+            f"rank formula does not cover max block {s[-1]} with central {c} in type "
+            f"{b.kind.family}"
+        )
+    rank = 2 * sum(min(s[i], s[i + 1]) for i in range(len(s) - 1))
+    if s:
+        rank += 2 * min(s[-1], c)
+    return rank, b.N - rank

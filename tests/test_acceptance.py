@@ -35,8 +35,10 @@ from richardson.exceptional import (
     root_system,
 )
 from richardson.oracle import oracle_partition_detail
-from richardson.partitions import rank_and_kernel, richardson_partition
+from richardson.partitions import richardson_partition
 from richardson.verify import classical_kinds_up_to
+
+from reference import rank_and_kernel
 
 
 def _announce(number, text):

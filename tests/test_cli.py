@@ -13,6 +13,7 @@ import pytest
 import richardson
 from richardson import cli
 from richardson.cli import RECORD_KEYS, main, record_schema
+from richardson.core import LieKind, all_block_vectors
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +207,23 @@ class TestEnumerate:
                 _, out, _ = run_cli(capsys, "enumerate", *base, *flags)
                 assert out == render_table(want), flags
 
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_by_blocks_is_the_canonical_colorings(self, capsys, family):
+        base = ("enumerate", "--kind", family, "--max-rank", "6", "--format", "json")
+        _, out, _ = run_cli(capsys, *base)
+        # a D coloring ending 1,0 names the same parabolic as the one ending 0,1
+        want = [r for r in json_lines(out) if family != "D" or r["coloring"][-2:] != [1, 0]]
+        code, out, _ = run_cli(capsys, *base, "--by-blocks")
+        got = json_lines(out)
+        assert code == 0 and got == want
+        # one record per Levi shape
+        shapes = {
+            (kind.name, b.d, b.central)
+            for kind in map(LieKind.parse, {r["kind"] for r in got})
+            for b in all_block_vectors(kind)
+        }
+        assert sorted((r["kind"], tuple(r["blocks"]), r["central"]) for r in got) == sorted(shapes)
+
     def test_multi_kind_table_has_one_header_and_shared_widths(self, capsys):
         base = ("enumerate", "--kind", "D", "--max-rank", "5", "--by-blocks")
         _, out, _ = run_cli(capsys, *base, "--format", "json")
@@ -301,7 +319,10 @@ class TestVerify:
         assert out1 == out2
 
     def test_bad_kind(self, capsys):
-        assert run_cli(capsys, "verify", "--kind", "E7")[0] == 2
+        # "AB", "" and "ABCD" are substrings of "ABCD" but no family
+        for kind in ("E7", "AB", "", "ABCD"):
+            code, _, err = run_cli(capsys, "verify", "--kind", kind)
+            assert code == 2 and err.startswith("error: "), kind
 
     def test_zero_trials_exit_2(self, capsys):
         assert_usage_error(capsys, "verify", "--trials", "0")

@@ -12,11 +12,11 @@ from richardson.partitions import (
     partition_bcd,
     partition_from_kernel_dims,
     partition_type_a,
-    rank_and_kernel,
     richardson_partition,
-    so_even_single_odd_partition,
 )
 from richardson.verify import classical_kinds_up_to
+
+from reference import rank_and_kernel, so_even_single_odd_partition
 
 
 def nice_bcd(max_n):

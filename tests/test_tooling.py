@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import richardson
@@ -34,3 +37,13 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(f"richardson.{mod}"), fn, None))
     ]
     assert missing == []
+
+
+def test_import_loads_no_rational_arithmetic():
+    # the library runs on one integer matrix path; the Fraction cross-check
+    # lives in tests/reference.py
+    env = dict(os.environ, PYTHONPATH=str(Path(richardson.__file__).parents[1]))
+    code = "import sys, richardson; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
