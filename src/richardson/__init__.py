@@ -39,7 +39,6 @@ from .core import (
     transpose,
 )
 from .exceptional import (
-    ExceptionalRecord,
     appendix_colorings,
     appendix_records,
     exceptional_lookup,

@@ -219,10 +219,15 @@ def _covering_degree_note(b: BlockVector) -> tuple[int | None, str | None]:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """All classification flags for one classical parabolic."""
+    """All classification flags for one parabolic.
+
+    ``blocks`` is None for the exceptional kinds, which have no matrix
+    blocks; ``label`` is the Bala-Carter label of a Richardson orbit that
+    the exceptional tables record as not induced by an sl2-triple.
+    """
 
     kind: LieKind
-    blocks: BlockVector
+    blocks: BlockVector | None
     coloring: Coloring | None = None
     nice: bool = False
     birational: bool = False
@@ -232,6 +237,7 @@ class ClassificationReport:
     birational_by_partition: bool | None = None
     orbit_dim: int | None = None
     covering_degree: int | None = None
+    label: str | None = None
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 

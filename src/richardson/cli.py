@@ -28,7 +28,7 @@ from .core import (
     blocks_from_coloring,
     coloring_from_blocks,
 )
-from .exceptional import ExceptionalRecord, appendix_records, exceptional_lookup
+from .exceptional import appendix_records, exceptional_lookup
 from .verify import run_verification
 
 RECORD_KEYS = (
@@ -60,11 +60,14 @@ def record_schema() -> dict:
 
 
 def report_to_record(report: ClassificationReport) -> dict:
+    """The record of one report, for every kind; an exceptional report has
+    no blocks, so ``blocks`` and ``central`` are null."""
+    b = report.blocks
     return {
         "kind": report.kind.name,
         "coloring": list(report.coloring.u) if report.coloring else None,
-        "blocks": list(report.blocks.d),
-        "central": report.blocks.central,
+        "blocks": list(b.d) if b is not None else None,
+        "central": b.central if b is not None else None,
         "nice": report.nice,
         "birational": report.birational,
         "sl2": report.sl2_given,
@@ -72,24 +75,7 @@ def report_to_record(report: ClassificationReport) -> dict:
         "partition": list(report.partition) if report.partition is not None else None,
         "orbit_dim": report.orbit_dim,
         "covering_degree": report.covering_degree,
-        "label": None,
-    }
-
-
-def exceptional_to_record(rec: ExceptionalRecord) -> dict:
-    return {
-        "kind": rec.kind.name,
-        "coloring": list(rec.coloring.u),
-        "blocks": None,
-        "central": None,
-        "nice": rec.nice,
-        "birational": rec.birational,
-        "sl2": rec.sl2_given,
-        "normal": "out_of_scope",
-        "partition": None,
-        "orbit_dim": rec.orbit_dim,
-        "covering_degree": None,
-        "label": rec.bala_carter_label,
+        "label": report.label,
     }
 
 
@@ -162,8 +148,12 @@ _matrix_size = _int_in(
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty ``text`` has none, an empty field
+    (``2,,2`` or ``1,0,``) is an error."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise DescriptorError(f"cannot parse {what} {text!r}: expected comma-separated integers")
 
@@ -181,8 +171,9 @@ def _cmd_classify(args) -> int:
     if kind.is_exceptional:
         if args.coloring is None:
             raise DescriptorError(f"{kind.name} takes --coloring (no matrix blocks)")
-        rec = exceptional_lookup(Coloring(kind, _parse_ints(args.coloring, "coloring")))
-        record = exceptional_to_record(rec)
+        if args.with_oracle:
+            raise DescriptorError("--with-oracle applies to classical kinds only")
+        report = exceptional_lookup(Coloring(kind, _parse_ints(args.coloring, "coloring")))
     else:
         if args.coloring is not None:
             coloring = Coloring(kind, _parse_ints(args.coloring, "coloring"))
@@ -210,9 +201,9 @@ def _cmd_classify(args) -> int:
         report = classify(
             b, coloring=coloring, with_oracle=args.with_oracle, trials=args.trials, seed=args.seed
         )
-        record = report_to_record(report)
-        for note in report.diagnostics:
-            print(f"note: {note}", file=sys.stderr)
+    record = report_to_record(report)
+    for note in report.diagnostics:
+        print(f"note: {note}", file=sys.stderr)
     if args.format == "table":
         for key in RECORD_KEYS:
             print(f"{key}: {_cell(record[key])}")
@@ -226,7 +217,7 @@ def _iter_enumerate(args, kind: LieKind) -> Iterator[dict]:
     ``--by-blocks`` keeps only canonical colorings, one per Levi shape."""
     for coloring in all_colorings(kind):
         if kind.is_exceptional:
-            yield exceptional_to_record(exceptional_lookup(coloring))
+            yield report_to_record(exceptional_lookup(coloring))
         elif not args.by_blocks or coloring.canonical() == coloring:
             yield report_to_record(classify(blocks_from_coloring(coloring), coloring=coloring))
 
@@ -299,7 +290,7 @@ def _cmd_export(args) -> int:
         else:
             targets = [(names[0], out_path)]
         for name, target in targets:
-            rows = [exceptional_to_record(rec) for rec in appendix_records(LieKind.parse(name))]
+            rows = [report_to_record(rep) for rep in appendix_records(LieKind.parse(name))]
             with target.open("w", newline="") as fh:
                 _emit(rows, args.format, fh)
             print(f"wrote {len(rows)} rows to {target}")

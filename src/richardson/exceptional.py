@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .classify import ClassificationReport
 from .core import Coloring, InvariantError, LieKind, UnsupportedKindError
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "grading_dims",
     "dim_g0",
     "orbit_dim",
-    "ExceptionalRecord",
     "exceptional_lookup",
     "appendix_colorings",
     "appendix_records",
@@ -56,9 +56,6 @@ for _rank in (6, 7, 8):
     _CARTAN[f"E{_rank}"] = _simply_laced(
         _rank, tuple(e for e in _E_EDGES if max(e) <= _rank)
     )
-
-_POSITIVE_COUNT = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
-
 
 @dataclass(frozen=True)
 class RootSystem:
@@ -117,10 +114,10 @@ def root_system(kind: LieKind) -> RootSystem:
         raise UnsupportedKindError(f"root systems here are exceptional-only, got {kind.name}")
     cartan = _CARTAN[kind.name]
     pos = _close_positive_roots(cartan)
-    if len(pos) != _POSITIVE_COUNT[kind.name]:
+    expected = (kind.dim - kind.rank) // 2
+    if len(pos) != expected:
         raise InvariantError(
-            f"{kind.name}: closure found {len(pos)} positive roots, "
-            f"expected {_POSITIVE_COUNT[kind.name]}"
+            f"{kind.name}: closure found {len(pos)} positive roots, expected {expected}"
         )
     return RootSystem(kind, cartan, pos)
 
@@ -305,21 +302,12 @@ def appendix_colorings(kind: LieKind) -> tuple[Coloring, ...]:
     return tuple(Coloring(kind, u) for u in _APPENDIX[kind.name])
 
 
-@dataclass(frozen=True)
-class ExceptionalRecord:
-    """Classification data for one exceptional parabolic."""
+def exceptional_lookup(coloring: Coloring) -> ClassificationReport:
+    """Classify one exceptional parabolic from the encoded tables.
 
-    kind: LieKind
-    coloring: Coloring
-    nice: bool
-    birational: bool
-    sl2_given: bool
-    orbit_dim: int
-    bala_carter_label: str | None
-
-
-def exceptional_lookup(coloring: Coloring) -> ExceptionalRecord:
-    """Classify one exceptional parabolic from the encoded tables."""
+    The report has no blocks; ``normal``, ``partition`` and
+    ``covering_degree`` keep their defaults.
+    """
     kind = coloring.kind
     if not kind.is_exceptional:
         raise UnsupportedKindError(f"exceptional lookup on classical kind {kind.name}")
@@ -327,16 +315,17 @@ def exceptional_lookup(coloring: Coloring) -> ExceptionalRecord:
     birational = u in _APPENDIX[kind.name]
     nice = birational or (kind.name == "E7" and u in E7_NON_BIRATIONAL)
     label = NON_SL2_ORBITS.get((kind.name, u))
-    return ExceptionalRecord(
+    return ClassificationReport(
         kind=kind,
+        blocks=None,
         coloring=coloring,
         nice=nice,
         birational=birational,
         sl2_given=nice and label is None,
         orbit_dim=orbit_dim(root_system(kind), coloring),
-        bala_carter_label=label,
+        label=label,
     )
 
 
-def appendix_records(kind: LieKind) -> tuple[ExceptionalRecord, ...]:
+def appendix_records(kind: LieKind) -> tuple[ClassificationReport, ...]:
     return tuple(exceptional_lookup(c) for c in appendix_colorings(kind))

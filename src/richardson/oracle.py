@@ -75,15 +75,6 @@ class ExactMatrix:
         if any(len(r) != self.cols for r in self.data):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int | None = None) -> "ExactMatrix":
-        cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactMatrix) and self.data == other.data
 
@@ -93,23 +84,6 @@ class ExactMatrix:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExactMatrix({self.rows}x{self.cols})"
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
-    def trace(self):
-        return sum(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def scaled(self, c) -> "ExactMatrix":
-        return ExactMatrix([[c * x for x in row] for row in self.data])
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -117,9 +91,6 @@ class ExactMatrix:
         return ExactMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.data]
         )
-
-    def transposed(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.data)))
 
     def rank(self) -> int:
         """Exact rank by fraction-free (Bareiss) elimination over Z."""
@@ -173,7 +144,6 @@ class MatrixRealization:
         if not kind.is_classical:
             raise UnsupportedKindError(f"no matrix realization for {kind.name}")
         self.kind = kind
-        self.N = kind.matrix_size
 
     @cached_property
     def basis(self) -> tuple[ExactMatrix, ...]:
@@ -183,10 +153,6 @@ class MatrixRealization:
                 f"{self.kind.name}: built {len(basis)} basis matrices, expected dim {self.kind.dim}"
             )
         return basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def _sign(N: int, i: int) -> int:

@@ -10,6 +10,10 @@ hold the library's one path against it:
   exact rationals, against :func:`richardson.core.blocks_from_coloring`;
 * :func:`so_even_single_odd_partition` and :func:`rank_and_kernel` are
   explicit partition formulas on parts of the closed-form domain.
+
+The library's :class:`~richardson.oracle.ExactMatrix` only multiplies and
+ranks; the small matrix helpers the tests need besides (:func:`zeros`,
+:func:`identity`, :func:`combine`, :func:`is_zero`) live here.
 """
 
 from __future__ import annotations
@@ -32,8 +36,32 @@ class MembershipError(ValueError):
     """Matrix does not lie in the expected Lie algebra."""
 
 
+# ---------------------------------------------------------------------------
+# matrix helpers
+
+
+def zeros(n: int) -> ExactMatrix:
+    return ExactMatrix([[0] * n for _ in range(n)])
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def combine(*terms: tuple[int, ExactMatrix]) -> ExactMatrix:
+    """The integer combination sum c * m of one or more ``(c, m)`` pairs."""
+    rows, cols = terms[0][1].rows, terms[0][1].cols
+    return ExactMatrix(
+        [[sum(c * m.data[i][j] for c, m in terms) for j in range(cols)] for i in range(rows)]
+    )
+
+
+def is_zero(x: ExactMatrix) -> bool:
+    return all(v == 0 for row in x.data for v in row)
+
+
 def bracket(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-    return (x @ y) + (y @ x).scaled(-1)
+    return combine((1, x @ y), (-1, y @ x))
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +86,15 @@ def form_matrix(kind: LieKind) -> ExactMatrix | None:
 
 
 def contains(real: MatrixRealization, x: ExactMatrix) -> bool:
-    if x.rows != real.N or x.cols != real.N:
+    """Is ``x`` in the realization: trace zero in type A, and X^T F + F X = 0
+    for the form F of B/C/D."""
+    N = real.kind.matrix_size
+    if x.rows != N or x.cols != N:
         return False
     form = form_matrix(real.kind)
     if form is None:
-        return x.trace() == 0
-    return (x.transposed() @ form + form @ x).is_zero()
+        return sum(x.data[i][i] for i in range(N)) == 0
+    return is_zero(combine((1, ExactMatrix(list(zip(*x.data))) @ form), (1, form @ x)))
 
 
 def _ad_rows(real: MatrixRealization, x: ExactMatrix) -> list[list[int]]:
@@ -77,7 +108,7 @@ def centralizer_dim(real: MatrixRealization, x: ExactMatrix) -> int:
     """dim {Y in g : [X, Y] = 0}, via the exact rank of ad(X) on g."""
     if not contains(real, x):
         raise MembershipError(f"matrix is not in {real.kind.name}")
-    return real.dim - _int_rank(_ad_rows(real, x))
+    return len(real.basis) - _int_rank(_ad_rows(real, x))
 
 
 # ---------------------------------------------------------------------------

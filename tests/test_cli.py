@@ -79,9 +79,11 @@ class TestClassify:
         assert rec["nice"] is False and rec["birational"] is True
 
     def test_invalid_blocks_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "classify", "--kind", "A3", "--blocks", "2,1,2")
-        assert code == 2
-        assert "sum" in err
+        # an empty field is an error, not a skipped entry: 2,,2 is not 2,2
+        for blocks, needle in (("2,1,2", "sum"), ("2,,2", "cannot parse"), (",4", "cannot parse")):
+            code, _, err = run_cli(capsys, "classify", "--kind", "A3", "--blocks", blocks)
+            assert code == 2, blocks
+            assert needle in err, blocks
 
     def test_full_palindrome_hint(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--kind", "C3", "--blocks", "2,2,2")
@@ -97,11 +99,22 @@ class TestClassify:
     def test_exceptional_needs_coloring(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--kind", "G2", "--blocks", "2")
         assert code == 2
+        # the oracle has no exceptional realization, so the flag is refused
+        code, _, err = run_cli(
+            capsys, "classify", "--kind", "E7", "--coloring", "1,1,0,0,0,0,1", "--with-oracle"
+        )
+        assert code == 2
+        assert "error: --with-oracle applies to classical kinds only" in err
 
     def test_wrong_length_coloring(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--kind", "E7", "--coloring", "1,0")
         assert code == 2
         assert "rank" in err
+        # a trailing comma adds an empty eighth field; it is not dropped
+        for kind, coloring in (("E7", "1,1,0,0,0,0,1,"), ("C3", "1,0,,1")):
+            code, _, err = run_cli(capsys, "classify", "--kind", kind, "--coloring", coloring)
+            assert code == 2, coloring
+            assert "error: cannot parse coloring" in err, coloring
 
     def test_csv_roundtrip(self, capsys):
         code, out, _ = run_cli(
@@ -120,6 +133,8 @@ class TestClassify:
             ("classify", "--kind", "C3", "--blocks", "2", "--central", "2", "--format", "json"),
             ("classify", "--kind", "E8", "--coloring", "0,0,1,0,0,0,1,0", "--format", "json"),
             ("classify", "--kind", "A4", "--blocks", "2,1,2", "--format", "json"),
+            # an empty --blocks is the empty half vector, not an empty field
+            ("classify", "--kind", "C3", "--blocks", "", "--central", "6", "--format", "json"),
         ):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from richardson import exceptional
+from richardson import core
+from richardson.classify import OUT_OF_SCOPE, ClassificationReport
 from richardson.core import Coloring, InvariantError, LieKind, UnsupportedKindError, all_colorings
 from richardson.exceptional import (
     E7_NON_BIRATIONAL,
@@ -57,7 +58,8 @@ class TestRootSystems:
             root_system(LieKind("A", 3))
 
     def test_wrong_root_count_raises_invariant_error(self, monkeypatch):
-        monkeypatch.setitem(exceptional._POSITIVE_COUNT, "G2", 7)
+        # dim 16 and rank 2 expect (16 - 2) / 2 = 7 positive roots
+        monkeypatch.setitem(core._EXC_DIM, ("G", 2), 16)
         # __wrapped__ bypasses the lru_cache, so the closure really runs again
         with pytest.raises(InvariantError, match="found 6 positive roots, expected 7"):
             root_system.__wrapped__(kind("G2"))
@@ -131,7 +133,7 @@ class TestAppendixData:
             rs = root_system(kind(name))
             c = Coloring(rs.kind, u)
             rec = exceptional_lookup(c)
-            assert rec.bala_carter_label == label
+            assert rec.label == label
             assert rec.nice and not rec.sl2_given
             assert rec.orbit_dim == rs.dim - dim_g0(c) == paper_dims[label][name]
 
@@ -146,7 +148,10 @@ class TestLookup:
         rec = exceptional_lookup(Coloring(kind("E7"), (1, 1, 0, 0, 0, 0, 1)))
         assert (rec.nice, rec.birational, rec.sl2_given) == (True, False, False)
         assert rec.orbit_dim == 106
-        assert rec.bala_carter_label == "D_5(a_1)"
+        assert rec.label == "D_5(a_1)"
+        # the same report type as classify, without blocks
+        assert isinstance(rec, ClassificationReport) and rec.blocks is None
+        assert (rec.normal, rec.partition, rec.covering_degree) == (OUT_OF_SCOPE, None, None)
 
     def test_f4_absent(self):
         rec = exceptional_lookup(Coloring(kind("F4"), (1, 0, 1, 0)))
@@ -156,7 +161,7 @@ class TestLookup:
         rec = exceptional_lookup(Coloring(kind("E8"), (0, 0, 1, 0, 0, 0, 1, 0)))
         assert (rec.nice, rec.birational, rec.sl2_given) == (True, True, False)
         assert rec.orbit_dim == 216
-        assert rec.bala_carter_label == "D_6"
+        assert rec.label == "D_6"
 
     def test_g2_f4_e6_sl2_equals_nice(self):
         for name in ("G2", "F4", "E6"):
@@ -180,4 +185,5 @@ class TestLookup:
     def test_records_helper(self):
         recs = appendix_records(kind("G2"))
         assert len(recs) == 3
+        assert all(isinstance(r, ClassificationReport) for r in recs)
         assert all(r.birational for r in recs)

@@ -26,10 +26,13 @@ from reference import (
     MembershipError,
     bracket,
     centralizer_dim,
+    combine,
     contains,
-    form_matrix,
+    identity,
+    is_zero,
     levi_blocks_from_matrices,
     rank_and_kernel,
+    zeros,
 )
 
 
@@ -53,7 +56,7 @@ class TestExactMatrix:
     def test_rank_small(self):
         assert ExactMatrix([[1, 2], [2, 4]]).rank() == 1
         assert ExactMatrix([[1, 2], [3, 4]]).rank() == 2
-        assert ExactMatrix.zeros(3).rank() == 0
+        assert zeros(3).rank() == 0
 
     def test_non_integer_entries_rejected(self):
         from fractions import Fraction
@@ -63,8 +66,6 @@ class TestExactMatrix:
             ExactMatrix([[0.5, 1], [1, 2]])
         with pytest.raises(TypeError):
             ExactMatrix([[Fraction(1, 2), 1], [1, 2]])
-        with pytest.raises(TypeError):
-            ExactMatrix.identity(2).scaled(Fraction(1, 2))
 
     def test_rank_bounded_by_generators(self):
         # rows built from r generators never exceed rank r
@@ -87,26 +88,24 @@ class TestRealization:
     )
     def test_dimensions(self, name, dim):
         real = realization(LieKind.parse(name))
-        assert real.dim == dim
+        assert len(real.basis) == dim
 
     def test_form_invariance_exact(self):
+        # contains checks X^T F + F X = 0 exactly for the form F
         for name in ("B2", "B3", "C2", "C3", "D3", "D4", "D5"):
             real = realization(LieKind.parse(name))
-            form = form_matrix(real.kind)
-            for elt in real.basis:
-                residual = elt.transposed() @ form + form @ elt
-                assert residual.is_zero()
+            assert all(contains(real, elt) for elt in real.basis)
 
     def test_type_a_traceless(self):
         real = realization(LieKind("A", 4))
-        assert all(elt.trace() == 0 for elt in real.basis)
+        assert all(sum(elt.data[i][i] for i in range(5)) == 0 for elt in real.basis)
 
     def test_short_basis_raises_invariant_error(self, monkeypatch):
         calls = []
 
         def short_walk(kind, keep):
             calls.append(kind)
-            return [ExactMatrix.identity(3)]
+            return [identity(3)]
 
         monkeypatch.setattr(oracle, "_root_vectors", short_walk)
         real = oracle.MatrixRealization(LieKind("A", 2))
@@ -118,7 +117,7 @@ class TestRealization:
         real = realization(LieKind("C", 2))
         x = generic_nilradical_element(BlockVector(LieKind("C", 2), (1,), 2), 7)
         assert contains(real, x)
-        assert not contains(real, ExactMatrix.identity(4))
+        assert not contains(real, identity(4))
 
 
 class TestNilradical:
@@ -130,9 +129,9 @@ class TestNilradical:
 
     def test_full_levi_zero(self):
         x = generic_nilradical_element(BlockVector(LieKind("A", 3), (4,)), 3)
-        assert x.is_zero()
+        assert is_zero(x)
         x = generic_nilradical_element(BlockVector(LieKind("B", 3), (), 7), 3)
-        assert x.is_zero()
+        assert is_zero(x)
 
     def test_c2_block_structure(self):
         b = BlockVector(LieKind("C", 2), (1,), 2)
@@ -195,7 +194,7 @@ class TestNilradical:
 
 class TestJordan:
     def test_zero(self):
-        assert jordan_partition(ExactMatrix.zeros(4)) == (1, 1, 1, 1)
+        assert jordan_partition(zeros(4)) == (1, 1, 1, 1)
 
     def test_single_block(self):
         assert jordan_partition(jordan_block(4)) == (4,)
@@ -208,7 +207,7 @@ class TestJordan:
 
     def test_not_nilpotent(self):
         with pytest.raises(NotNilpotentError):
-            jordan_partition(ExactMatrix.identity(3))
+            jordan_partition(identity(3))
 
     def test_c3_generic(self):
         lam = oracle_richardson_partition(BlockVector(LieKind("C", 3), (2,), 2), trials=3)
@@ -218,7 +217,7 @@ class TestJordan:
 class TestCentralizer:
     def test_zero_gives_dim_g(self):
         real = realization(LieKind("A", 3))
-        assert centralizer_dim(real, ExactMatrix.zeros(4)) == real.dim
+        assert centralizer_dim(real, zeros(4)) == len(real.basis)
 
     def test_sl2_regular(self):
         real = realization(LieKind("A", 1))
@@ -233,7 +232,7 @@ class TestCentralizer:
     def test_membership_error(self):
         real = realization(LieKind("C", 2))
         with pytest.raises(MembershipError):
-            centralizer_dim(real, ExactMatrix.identity(4))
+            centralizer_dim(real, identity(4))
 
     def test_certified_matches_exact(self):
         for name, d, c in (("B3", (2,), 3), ("C3", (2,), 2), ("D4", (1, 1), 4), ("A4", (2, 3), None)):
@@ -263,9 +262,8 @@ class TestCentralizer:
                 basis = nilradical_basis(b)
                 if not basis:
                     continue
-                x = ExactMatrix.zeros(kind.matrix_size)
-                for elt in rng.sample(basis, rng.randint(1, len(basis))):
-                    x = x + elt.scaled(rng.randint(-2, 2))
+                sample = rng.sample(basis, rng.randint(1, len(basis)))
+                x = combine(*((rng.randint(-2, 2), elt) for elt in sample))
                 lam = jordan_partition(x)
                 dim, cert = certified_centralizer_dim(kind, lam, levi_dim(b))
                 assert dim == centralizer_dim(real, x), (kind.name, b.d, b.central, lam)
@@ -404,7 +402,11 @@ class TestBracket:
         rng = random.Random(2)
         elts = rng.sample(real.basis, 4)
         for x, y in itertools.combinations(elts, 2):
-            assert bracket(x, y) == bracket(y, x).scaled(-1)
+            assert bracket(x, y) == combine((-1, bracket(y, x)))
         x, y, z = elts[:3]
-        jac = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
-        assert jac.is_zero()
+        jac = combine(
+            (1, bracket(x, bracket(y, z))),
+            (1, bracket(y, bracket(z, x))),
+            (1, bracket(z, bracket(x, y))),
+        )
+        assert is_zero(jac)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,24 @@ def test_import_loads_no_rational_arithmetic():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_exports_resolve():
+    # a deletion that leaves a stale name in __all__ or in the package's
+    # re-exports would only fail at the user's import
+    stale = []
+    for info in pkgutil.iter_modules(richardson.__path__):
+        module = importlib.import_module(f"richardson.{info.name}")
+        names = getattr(module, "__all__", ())
+        stale += [f"{info.name}.{n}" for n in names if not hasattr(module, n)]
+    assert stale == [], f"names in __all__ that do not resolve: {stale}"
+    tree = ast.parse(Path(richardson.__file__).read_text())
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if not alias.name.startswith("_")
+        and alias.name not in importlib.import_module(f"richardson.{node.module}").__all__
+    ]
+    assert unlisted == [], f"re-exported but missing from the module's __all__: {unlisted}"
