@@ -251,7 +251,8 @@ def classify(
     """Full classification of one classical parabolic.
 
     The partition is the closed form whenever it applies (all of type A;
-    nice B/C/D); otherwise the matrix oracle supplies it on request.  The
+    nice B/C/D); otherwise the matrix oracle supplies it on request, and it
+    stays None when no oracle sample is certified generic.  The
     stabilizer test on the partition is recorded as a cross-check next to
     the block-criteria answer.
     """

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 
 from .classify import ClassificationReport, classify
 from .core import (
+    _EXC_DIM,
     MIN_RANK,
     BlockVector,
     Coloring,
@@ -29,7 +30,7 @@ from .core import (
     coloring_from_blocks,
 )
 from .exceptional import appendix_records, exceptional_lookup
-from .verify import run_verification
+from .verify import classical_kinds_up_to, run_verification
 
 RECORD_KEYS = (
     "kind",
@@ -46,7 +47,7 @@ RECORD_KEYS = (
     "label",
 )
 
-_EXC_NAMES = ("G2", "F4", "E6", "E7", "E8")
+_EXC_NAMES = tuple(f"{fam}{rank}" for fam, rank in _EXC_DIM)
 
 # largest classical rank for enumerate and matrix size for verify: each step
 # up about doubles the parabolics, and so the running time
@@ -147,6 +148,14 @@ _matrix_size = _int_in(
 )
 
 
+def _kind(text: str) -> LieKind:
+    """``LieKind.parse`` with the ``--rank`` bound on classical kinds."""
+    kind = LieKind.parse(text)
+    if kind.is_classical and kind.rank > _MAX_SIZE:
+        raise DescriptorError(f"--kind {kind.name}: expected a rank from 1 to {_MAX_SIZE}")
+    return kind
+
+
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     """Comma-separated integers; an empty ``text`` has none, an empty field
     (``2,,2`` or ``1,0,``) is an error."""
@@ -163,7 +172,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_classify(args) -> int:
-    kind = LieKind.parse(args.kind)
+    kind = _kind(args.kind)
     if args.blocks is not None and args.coloring is not None:
         raise DescriptorError("give either --blocks or --coloring, not both")
     if args.central is not None and args.blocks is None:
@@ -234,13 +243,7 @@ def _wanted(args, r: dict) -> bool:
 
 def _cmd_enumerate(args) -> int:
     kind_text = args.kind.strip().upper()
-    if kind_text in _EXC_NAMES:
-        if args.by_blocks:
-            raise DescriptorError("--by-blocks applies to classical kinds only")
-        if args.rank is not None or args.max_rank is not None:
-            raise DescriptorError("--rank/--max-rank apply to classical kinds only")
-        kinds = [LieKind.parse(kind_text)]
-    elif len(kind_text) == 1 and kind_text in "ABCD":
+    if len(kind_text) == 1 and kind_text in "ABCD":
         if args.rank is None and args.max_rank is None:
             raise DescriptorError("classical enumeration needs --rank or --max-rank")
         if args.rank is not None and args.max_rank is not None:
@@ -251,9 +254,11 @@ def _cmd_enumerate(args) -> int:
             raise DescriptorError(f"rank {hi} is below the minimum rank for {kind_text}")
         kinds = [LieKind(kind_text, r) for r in range(lo, hi + 1)]
     else:
-        kind = LieKind.parse(kind_text)  # e.g. --kind C3 as shorthand for C --rank 3
+        kind = _kind(kind_text)  # e.g. --kind C3 as shorthand for C --rank 3
         if args.rank is not None or args.max_rank is not None:
-            raise DescriptorError("--rank/--max-rank conflict with an explicit rank in --kind")
+            raise DescriptorError(f"--rank/--max-rank conflict with the rank in --kind {kind.name}")
+        if args.by_blocks and kind.is_exceptional:
+            raise DescriptorError("--by-blocks applies to classical kinds only")
         kinds = [kind]
     records = (r for kind in kinds for r in _iter_enumerate(args, kind) if _wanted(args, r))
     _emit(records, args.format, sys.stdout)
@@ -261,9 +266,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    families = ("A", "B", "C", "D") if args.kind == "all" else (args.kind.upper(),)
+    kind_text = args.kind.strip().upper()
+    families = ("A", "B", "C", "D") if kind_text == "ALL" else (kind_text,)
     if any(f not in ("A", "B", "C", "D") for f in families):
         raise DescriptorError("verify runs on classical kinds: A, B, C, D or all")
+    if not list(classical_kinds_up_to(families, args.max_n)):
+        raise DescriptorError(f"no {kind_text} kind has matrix size <= {args.max_n}")
     result = run_verification(
         families=families,
         max_n=args.max_n,
@@ -279,7 +287,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    names = _EXC_NAMES if args.kind == "all" else (args.kind.strip().upper(),)
+    kind_text = args.kind.strip().upper()
+    names = _EXC_NAMES if kind_text == "ALL" else (kind_text,)
     if any(n not in _EXC_NAMES for n in names):
         raise DescriptorError("export covers the exceptional kinds: G2, F4, E6, E7, E8 or all")
     out_path = Path(args.out)

@@ -78,9 +78,9 @@ class LieKind:
         fam, n = self.family, self.rank
         if fam in MIN_RANK:
             ok = n >= MIN_RANK[fam]
+        elif any(fam == f for f, _ in _EXC_DIM):
+            ok = (fam, n) in _EXC_DIM
         else:
-            ok = {"E": n in (6, 7, 8), "F": n == 4, "G": n == 2}.get(fam)
-        if ok is None:
             raise DescriptorError(f"unknown family {fam!r}")
         if not ok:
             raise DescriptorError(f"rank {n} is invalid for family {fam}")

@@ -63,7 +63,6 @@ class RootSystem:
     the simple roots."""
 
     kind: LieKind
-    cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
 
     @property
@@ -112,14 +111,13 @@ def _close_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[in
 def root_system(kind: LieKind) -> RootSystem:
     if not kind.is_exceptional:
         raise UnsupportedKindError(f"root systems here are exceptional-only, got {kind.name}")
-    cartan = _CARTAN[kind.name]
-    pos = _close_positive_roots(cartan)
+    pos = _close_positive_roots(_CARTAN[kind.name])
     expected = (kind.dim - kind.rank) // 2
     if len(pos) != expected:
         raise InvariantError(
             f"{kind.name}: closure found {len(pos)} positive roots, expected {expected}"
         )
-    return RootSystem(kind, cartan, pos)
+    return RootSystem(kind, pos)
 
 
 def grading_dims(rs: RootSystem, coloring: Coloring) -> dict[int, int]:

@@ -297,25 +297,15 @@ def certified_centralizer_dim(
     return dim, dim == lower_bound
 
 
-def _partial_sums(lam: Sequence[int], length: int) -> tuple[int, ...]:
-    out = []
-    total = 0
-    for i in range(length):
-        total += lam[i] if i < len(lam) else 0
-        out.append(total)
-    return tuple(out)
-
-
 def oracle_partition_detail(
     b: BlockVector, trials: int = 3, base_seed: int = 1
-) -> tuple[tuple[int, ...], bool]:
-    """Jordan type of a generic nilradical element plus a genericity flag.
+) -> tuple[tuple[int, ...] | None, bool]:
+    """Certified Jordan type of a generic nilradical element, or nothing.
 
     Samples seeds base_seed .. base_seed+trials-1 and stops at the first
     sample certified generic by dim g^X = dim g - 2 dim n (= dim m): its
-    Jordan type is the Richardson partition, which no other sample can
-    dominate.  If no sample certifies, the dominance-largest Jordan type
-    found is returned with the flag False.
+    Jordan type is the Richardson partition, returned as ``(lam, True)``.
+    If no sample certifies, the partition is unknown: ``(None, False)``.
 
     The bound holds for every X in n: [p, X] lies in n and [n^-, X] has at
     most dim n^- = dim n dimensions, so dim [g, X] <= 2 dim n.
@@ -323,31 +313,24 @@ def oracle_partition_detail(
     if trials < 1:
         raise ValueError("trials must be positive")
     target = b.kind.dim - 2 * sum(1 for _ in _root_entries(b.kind, _nilradical_keep(b)))
-    n = b.kind.matrix_size
-    best: tuple[int, ...] = ()
     for t in range(trials):
         lam = jordan_partition(generic_nilradical_element(b, base_seed + t))
         if certified_centralizer_dim(b.kind, lam, target)[1]:
             return lam, True
-        if not best or _partial_sums(lam, n) > _partial_sums(best, n):
-            best = lam
-    return best, False
+    return None, False
 
 
 def oracle_richardson_partition(
     b: BlockVector, trials: int = 3, base_seed: int = 1
-) -> tuple[int, ...]:
-    """Jordan type of a generic nilradical element, by randomized sampling.
-
-    A warning is emitted when no sample certifies as generic.
-    """
-    best, best_cert = oracle_partition_detail(b, trials, base_seed)
-    if not best_cert:
+) -> tuple[int, ...] | None:
+    """Certified Richardson partition by randomized sampling, or None with a
+    warning when no sample certifies as generic."""
+    lam, certified = oracle_partition_detail(b, trials, base_seed)
+    if not certified:
         warnings.warn(
             f"no sample certified generic for {b.kind.name} d={b.d} central={b.central}; "
-            "returning the dominance-largest Jordan type found",
+            "the partition is unknown",
             RuntimeWarning,
             stacklevel=2,
         )
-    return best
-
+    return lam

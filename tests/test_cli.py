@@ -342,14 +342,30 @@ class TestVerify:
     def test_zero_trials_exit_2(self, capsys):
         assert_usage_error(capsys, "verify", "--trials", "0")
 
-    @pytest.mark.parametrize("max_n", ["1", "0", "-3", "x"])
-    def test_max_n_without_cases_exit_2(self, capsys, max_n):
-        assert_usage_error(capsys, "verify", "--max-N", max_n)
+    @pytest.mark.parametrize(
+        "argv",
+        [pytest.param(("--max-N", n), id=n) for n in ("1", "0", "-3", "x")]
+        + [
+            # valid sizes, but D starts at N = 6 and B at N = 5: an empty
+            # sweep must not pass as "0 discrepancies"
+            pytest.param(("--kind", "D", "--max-N", "5"), id="D-5"),
+            pytest.param(("--kind", "B", "--max-N", "4"), id="B-4"),
+        ],
+    )
+    def test_max_n_without_cases_exit_2(self, capsys, argv):
+        if "--kind" in argv:
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: no ") and "matrix size <=" in err
+        else:
+            assert_usage_error(capsys, "verify", *argv)
 
     def test_smallest_max_n_checks_a1(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--kind", "A", "--max-N", "2")
-        assert code == 0
-        assert "checked 2 nice block vectors (N <= 2): 0 discrepancies" in out
+        # --kind is case-insensitive, "ALL" included
+        for kind in ("A", "ALL"):
+            code, out, _ = run_cli(capsys, "verify", "--kind", kind, "--max-N", "2")
+            assert code == 0, kind
+            assert "checked 2 nice block vectors (N <= 2): 0 discrepancies" in out, kind
 
 
 @pytest.mark.parametrize(
@@ -364,6 +380,23 @@ def test_sizes_above_16_are_usage_errors(capsys, command, flag, dest):
         parser.parse_args([command, "--kind", "A", flag, "17"])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_kind_ranks_above_16_exit_2(capsys, monkeypatch):
+    # an explicit rank in --kind has the --rank bound: A17 would otherwise walk
+    # 2^17 colorings, and levi_dim builds one dense matrix per Levi basis element
+    def no_walk(kind):
+        raise AssertionError(f"walked the colorings of {kind.name}")
+
+    monkeypatch.setattr(cli, "all_colorings", no_walk)
+    for argv in (("enumerate", "--kind", "A17"), ("classify", "--kind", "A17", "--blocks", "18")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: --kind A17: expected a rank from 1 to 16"), argv
+    monkeypatch.setattr(cli, "all_colorings", lambda kind: iter(()))
+    assert run_cli(capsys, "enumerate", "--kind", "A16", "--format", "json") == (0, "", "")
+    code, out, _ = run_cli(capsys, "classify", "--kind", "C16", "--blocks", "16", "--format", "json")
+    assert code == 0 and json.loads(out)["kind"] == "C16"
 
 
 class TestExport:
@@ -395,11 +428,12 @@ class TestExport:
         assert rows[0] == list(RECORD_KEYS)
 
     def test_all_kinds_directory(self, capsys, tmp_path):
-        out_dir = tmp_path / "tables"
-        code, _, _ = run_cli(capsys, "export", "--kind", "all", "--out", str(out_dir))
-        assert code == 0
-        names = sorted(p.name for p in out_dir.iterdir())
-        assert names == ["E6.json", "E7.json", "E8.json", "F4.json", "G2.json"]
+        for i, kind in enumerate(("all", "ALL")):
+            out_dir = tmp_path / f"tables{i}"
+            code, _, _ = run_cli(capsys, "export", "--kind", kind, "--out", str(out_dir))
+            assert code == 0, kind
+            names = sorted(p.name for p in out_dir.iterdir())
+            assert names == ["E6.json", "E7.json", "E8.json", "F4.json", "G2.json"]
 
     def test_schema(self, capsys, tmp_path):
         out_file = tmp_path / "g2.json"

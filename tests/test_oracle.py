@@ -333,6 +333,27 @@ class TestOraclePartition:
         lam, cert = oracle_partition_detail(b, trials=2)
         assert cert and lam == (3, 3, 2)
 
+    def test_uncertified_partition_is_unknown(self, monkeypatch):
+        # X = 0 never certifies once there are two blocks (dim g^0 = dim g >
+        # dim m); an uncertified Jordan type must not stand in for the answer
+        from richardson.verify import run_verification
+
+        monkeypatch.setattr(oracle, "generic_nilradical_element", lambda b, seed: zeros(b.N))
+        b = BlockVector(LieKind("B", 3), (3,), 1)
+        assert len(b.full_blocks()) == 3 and not is_nice(b)
+        assert oracle_partition_detail(b, trials=3) == (None, False)
+        with pytest.warns(RuntimeWarning, match="no sample certified"):
+            report = classify(b, with_oracle=True)
+        assert report.partition is None and report.birational_by_partition is None
+        lines = []
+        result = run_verification(families=("C",), max_n=4, trials=2, emit=lines.append)
+        assert result.failures and len(result.failures) < result.checked
+        assert not any("!= oracle" in line for line in lines), lines
+        assert all(
+            line.startswith("PASS") or line.endswith("no sample certified generic (dim g^X != dim m)")
+            for line in lines
+        ), lines
+
 
 class TestOracleEquivalence:
     def test_bcd_up_to_14(self):

@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +71,23 @@ def test_exports_resolve():
         and alias.name not in importlib.import_module(f"richardson.{node.module}").__all__
     ]
     assert unlisted == [], f"re-exported but missing from the module's __all__: {unlisted}"
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every ``richardson ...`` line of README's sh blocks, run in-process
+    from richardson import cli
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [ln for block in blocks for ln in block.splitlines() if ln.startswith("richardson ")]
+    assert len(lines) >= 8, lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if argv == ["verify"]:
+            # the full N <= 12 sweep; test_acceptance runs it
+            cli._build_parser().parse_args(argv)
+            continue
+        assert cli.main(argv) == 0, (line, capsys.readouterr().err)
+    capsys.readouterr()
+    assert (tmp_path / "e8.json").is_file() and len(list((tmp_path / "tables").iterdir())) == 5
