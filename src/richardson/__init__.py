@@ -5,9 +5,9 @@ exists in the first graded part of the induced Z-grading, and whether the
 moment map of the cotangent bundle of the corresponding flag variety is
 birational onto its image (equal stabilizers in the parabolic and the full
 group).  Classical types are classified by closed-form block criteria with
-Jordan partitions in closed form, all verified against an exact-arithmetic
-matrix oracle; exceptional types are served from encoded tables with orbit
-dimensions recomputed from root systems.
+Jordan partitions from one induction formula, all verified against an
+exact-arithmetic matrix oracle; exceptional types are served from encoded
+tables with orbit dimensions recomputed from root systems.
 """
 
 from .classify import (
@@ -55,14 +55,7 @@ from .oracle import (
     oracle_richardson_partition,
     realization,
 )
-from .partitions import (
-    FormulaDomainError,
-    dual_partition_bcd,
-    partition_bcd,
-    partition_from_kernel_dims,
-    partition_type_a,
-    richardson_partition,
-)
+from .partitions import partition_from_kernel_dims, richardson_partition
 from .verify import run_verification
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ the Richardson orbit and its partition depend only on the multiset of block
 sizes.  Niceness does not: it is a property of the grading, which depends on
 the block order.  C3 with coloring [0,1,1] (blocks 2,1, no centre) is
 reported nice, yet its graded dimensions g_1, g_2, g_3 = 3, 2, 3 rule that
-out; making ``nice`` order-aware is ROADMAP item 1.  Type A keeps the given
+out; making ``nice`` order-aware is ROADMAP item 2.  Type A keeps the given
 block order (its criteria are genuinely order sensitive).
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import oracle  # read at call time, so a replaced oracle function is the one called
 from .core import (
     BlockVector,
     Coloring,
@@ -24,7 +25,7 @@ from .core import (
     n_odd,
     parity_descents,
 )
-from .partitions import partition_type_a, richardson_partition
+from .partitions import richardson_partition
 
 __all__ = [
     "NORMAL",
@@ -250,27 +251,26 @@ def classify(
 ) -> ClassificationReport:
     """Full classification of one classical parabolic.
 
-    The partition is the closed form whenever it applies (all of type A;
-    nice B/C/D); otherwise the matrix oracle supplies it on request, and it
-    stays None when no oracle sample is certified generic.  The
-    stabilizer test on the partition is recorded as a cross-check next to
-    the block-criteria answer.
+    The partition is the induction formula on all of type A and on nice
+    B/C/D.  On non-nice B/C/D it is the matrix oracle's on request, and it
+    stays None when no oracle sample is certified generic.  Where the
+    formula applies, ``with_oracle`` runs the oracle as a referee and notes
+    a certified value that differs.  The stabilizer test on the partition is
+    recorded as a cross-check next to the block-criteria answer.
     """
-    from .oracle import levi_dim, oracle_richardson_partition
-
     kind = b.kind
     nice = is_nice(b)
     bir_blocks = is_birational_by_blocks(b)
     birational = True if kind.family == "A" else bir_blocks
     diagnostics: list[str] = []
 
-    partition: tuple[int, ...] | None = None
-    if kind.family == "A":
-        partition = partition_type_a(b)
-    elif nice:
-        partition = richardson_partition(b)
-    elif with_oracle:
-        partition = oracle_richardson_partition(b, trials=trials, base_seed=seed)
+    partition = richardson_partition(b) if kind.family == "A" or nice else None
+    if with_oracle:
+        certified = oracle.oracle_richardson_partition(b, trials=trials, base_seed=seed)
+        if partition is None:
+            partition = certified
+        elif certified is not None and certified != partition:
+            diagnostics.append(f"closed form {partition} != certified oracle {certified}")
 
     bir_part = None
     if partition is not None:
@@ -296,7 +296,7 @@ def classify(
         normal=normal_closure(b),
         partition=partition,
         birational_by_partition=bir_part,
-        orbit_dim=kind.dim - levi_dim(b),
+        orbit_dim=kind.dim - oracle.levi_dim(b),
         covering_degree=degree,
         diagnostics=tuple(diagnostics),
     )

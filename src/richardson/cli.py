@@ -332,7 +332,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--central", type=int, default=None, help="central block size (B/C/D)")
     p.add_argument("--coloring", help="0/1 coloring of the simple roots, e.g. 1,0,1")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--with-oracle", action="store_true", help="oracle partition for non-nice B/C/D")
+    p.add_argument(
+        "--with-oracle",
+        action="store_true",
+        help="run the matrix oracle: the partition of non-nice B/C/D, "
+        "a check on the closed form elsewhere",
+    )
     p.add_argument("--trials", type=_positive_int, default=3, metavar="N", help=_TRIALS_HELP)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_classify)

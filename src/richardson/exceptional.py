@@ -157,7 +157,7 @@ def orbit_dim(rs: RootSystem, coloring: Coloring) -> int:
 
 _G2_TABLE = (
     (1, 1),
-    (1, 0),
+    (0, 1),
     (0, 0),
 )
 

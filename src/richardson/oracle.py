@@ -329,7 +329,7 @@ def oracle_richardson_partition(
     if not certified:
         warnings.warn(
             f"no sample certified generic for {b.kind.name} d={b.d} central={b.central}; "
-            "the partition is unknown",
+            "the oracle's partition is unknown",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -8,8 +8,13 @@ hold the library's one path against it:
   :func:`richardson.oracle.certified_centralizer_dim`;
 * :func:`levi_blocks_from_matrices` solves for the grading element with
   exact rationals, against :func:`richardson.core.blocks_from_coloring`;
+* :func:`partition_type_a`, :func:`partition_bcd` and
+  :func:`dual_partition_bcd` are the paper's family-by-family closed forms
+  (a transpose in type A, dual-partition formulas for B/C/D), defined where
+  the order-blind :func:`richardson.classify.is_nice` holds, against the one
+  induction formula :func:`richardson.partitions.richardson_partition`;
 * :func:`so_even_single_odd_partition` and :func:`rank_and_kernel` are
-  explicit partition formulas on parts of the closed-form domain.
+  explicit partition formulas on parts of that domain.
 
 The library's :class:`~richardson.oracle.ExactMatrix` only multiplies and
 ranks; the small matrix helpers the tests need besides (:func:`zeros`,
@@ -21,19 +26,25 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from richardson.classify import is_nice
 from richardson.core import (
     BlockVector,
     Coloring,
+    InvariantError,
     LieKind,
     UnsupportedKindError,
     coloring_from_blocks,
+    transpose,
 )
 from richardson.oracle import ExactMatrix, MatrixRealization, _int_rank
-from richardson.partitions import FormulaDomainError
 
 
 class MembershipError(ValueError):
     """Matrix does not lie in the expected Lie algebra."""
+
+
+class FormulaDomainError(ValueError):
+    """Input outside the domain of the closed-form partition formulas."""
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +208,104 @@ def levi_blocks_from_matrices(descriptor: Coloring | BlockVector) -> BlockVector
     if m % 2:
         return BlockVector(kind, tuple(blocks[: m // 2]), blocks[m // 2])
     return BlockVector(kind, tuple(blocks[: m // 2]), None)
+
+
+# ---------------------------------------------------------------------------
+# the family-by-family closed forms
+#
+# Formulas for B/C/D require the canonical ascending arrangement of the half
+# block vector, which names a conjugate Levi and hence the same Jordan type;
+# inputs are sorted internally.  The dual (conjugate) partition is built
+# first for most cases; odd block sizes contribute an adjusted pair
+# ``{d_i - 1, d_i + 1}`` where the family demands even multiplicities.
+
+
+def _require_nice(b: BlockVector) -> None:
+    if not is_nice(b):
+        raise FormulaDomainError(
+            f"no closed-form Richardson partition for {b.kind.name} d={b.d} central={b.central}; "
+            "use the matrix oracle"
+        )
+
+
+def partition_type_a(b: BlockVector) -> tuple[int, ...]:
+    """Jordan type of a Richardson element in type A: conjugate of the sorted blocks."""
+    if b.kind.family != "A":
+        raise FormulaDomainError(f"type A only, got {b.kind.name}")
+    return transpose(tuple(sorted(b.d, reverse=True)))
+
+
+def _adjusted_pairs(s: Sequence[int]) -> list[int]:
+    """Pairs {d,d} for even d, {d-1, d+1} for odd d; zero parts dropped."""
+    out: list[int] = []
+    for v in s:
+        if v % 2 == 0:
+            out += [v, v]
+        else:
+            out += ([v - 1] if v > 1 else []) + [v + 1]
+    return out
+
+
+def _plain_pairs(s: Sequence[int]) -> list[int]:
+    return [v for x in s for v in (x, x)]
+
+
+def _dual_bcd(fam: str, s: tuple[int, ...], c: int | None) -> tuple[int, ...]:
+    if fam == "C":
+        parts = _plain_pairs(s) if c is None else _adjusted_pairs(s) + [c]
+    else:  # B, D
+        parts = _adjusted_pairs(s) if c is None else _plain_pairs(s) + [c]
+    return tuple(sorted((p for p in parts if p), reverse=True))
+
+
+def dual_partition_bcd(b: BlockVector) -> tuple[int, ...]:
+    """Dual of the Richardson Jordan partition for B/C/D.
+
+    Defined on inputs with a Richardson element in the first graded part;
+    for the orthogonal odd-block case additionally the ascending-through-
+    center arrangement is required (the remaining case is handled by
+    :func:`partition_bcd` directly).
+    """
+    fam = b.kind.family
+    if fam == "A":
+        raise FormulaDomainError("dual formula is for B/C/D")
+    _require_nice(b)
+    s, c = b.sorted_d(), b.central
+    if fam in "BD" and c is not None and s and s[-1] > c:
+        raise FormulaDomainError(
+            "orthogonal odd-block dual formula needs blocks ascending through the center"
+        )
+    return _dual_bcd(fam, s, c)
+
+
+def _partition_bcd(fam: str, s: tuple[int, ...], c: int | None) -> tuple[int, ...]:
+    if fam == "C" and c is None:
+        # 2r, 2r-2, ... with multiplicities d_1, d_2-d_1, ...
+        r = len(s)
+        parts: list[int] = []
+        prev = 0
+        for k, v in enumerate(s, start=1):
+            parts += [2 * (r - k + 1)] * (v - prev)
+            prev = v
+        return tuple(sorted(parts, reverse=True))
+    if fam in "BD" and c is not None and s and s[-1] == c + 1:
+        # peak one above the central block: compute the trimmed unimodal
+        # vector and restore the two stripped boxes as parts {1, 1}
+        inner = _partition_bcd(fam, s[:-1] + (s[-1] - 1,), c)
+        return tuple(sorted(inner + (1, 1), reverse=True))
+    return transpose(_dual_bcd(fam, s, c))
+
+
+def partition_bcd(b: BlockVector) -> tuple[int, ...]:
+    """Jordan type of a Richardson element for B/C/D (closed form)."""
+    fam = b.kind.family
+    if fam == "A":
+        raise FormulaDomainError("use partition_type_a for type A")
+    _require_nice(b)
+    lam = _partition_bcd(fam, b.sorted_d(), b.central)
+    if sum(lam) != b.N:
+        raise InvariantError(f"closed-form partition {lam} of {b} does not sum to N = {b.N}")
+    return lam
 
 
 # ---------------------------------------------------------------------------

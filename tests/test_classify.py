@@ -15,6 +15,7 @@ from richardson.classify import (
     is_sl2_given,
     normal_closure,
 )
+from richardson import oracle
 from richardson.core import BlockVector, LieKind, all_block_vectors
 from richardson.oracle import levi_dim
 from richardson.partitions import richardson_partition
@@ -187,7 +188,14 @@ class TestCoveringDegree:
 
 class TestPermutationInvariance:
     def test_bcd_predicates_sort_internally(self):
-        preds = (is_nice, is_birational_by_blocks, is_sl2_given, normal_closure, covering_degree)
+        preds = (
+            is_nice,
+            is_birational_by_blocks,
+            is_sl2_given,
+            normal_closure,
+            covering_degree,
+            richardson_partition,
+        )
         for kind in classical_kinds_up_to(("B", "C", "D"), 10):
             for b in all_block_vectors(kind):
                 if len(b.d) < 2:
@@ -241,3 +249,15 @@ class TestClassify:
         assert r.partition is not None
         assert sum(r.partition) == 6
         assert r.birational_by_partition is not None
+
+    def test_oracle_referees_the_closed_form(self, monkeypatch):
+        # with_oracle also runs the oracle where the closed form applies, and
+        # a certified value that differs is noted, not silently dropped
+        for b in (bv("C3", (2,), 2), bv("A3", (1, 2, 1))):
+            closed = classify(b).partition
+            assert classify(b, with_oracle=True, trials=1).diagnostics == ()
+            monkeypatch.setattr(oracle, "oracle_richardson_partition", lambda b, **kw: (b.N,))
+            r = classify(b, with_oracle=True)
+            assert r.partition == closed
+            assert f"closed form {closed} != certified oracle ({b.N},)" in r.diagnostics
+            monkeypatch.undo()

@@ -117,6 +117,21 @@ class TestAppendixData:
                 rec = exceptional_lookup(c)
                 assert rec.nice or not rec.birational
 
+    def test_nice_gradings_have_non_increasing_dims(self):
+        # a Richardson X in g_1 makes ad X: g_k -> g_{k+1} onto for k >= 0
+        for name in EXC:
+            rs = root_system(kind(name))
+            for c in all_colorings(rs.kind):
+                if not exceptional_lookup(c).nice:
+                    continue
+                dims = grading_dims(rs, c)
+                top = max(dims)
+                assert all(dims.get(k, 0) >= dims.get(k + 1, 0) for k in range(top)), (
+                    name,
+                    c.u,
+                    dims,
+                )
+
     def test_orbit_dims_even_and_bounded(self):
         for name in EXC:
             rs = root_system(kind(name))

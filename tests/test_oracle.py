@@ -23,6 +23,7 @@ from richardson.partitions import richardson_partition
 from richardson.verify import classical_kinds_up_to
 
 from reference import (
+    FormulaDomainError,
     MembershipError,
     bracket,
     centralizer_dim,
@@ -319,8 +320,6 @@ class TestOraclePartition:
 
     def test_rank_formula_domain_is_sharp(self):
         # past the domain the generic element really has more rank
-        from richardson.partitions import FormulaDomainError
-
         b = BlockVector(LieKind("B", 3), (3,), 1)
         with pytest.raises(FormulaDomainError):
             rank_and_kernel(b)
@@ -345,6 +344,12 @@ class TestOraclePartition:
         with pytest.warns(RuntimeWarning, match="no sample certified"):
             report = classify(b, with_oracle=True)
         assert report.partition is None and report.birational_by_partition is None
+        # where the closed form applies, the record keeps it and the warning
+        # speaks only of the oracle's value
+        nice = BlockVector(LieKind("C", 3), (2,), 2)
+        with pytest.warns(RuntimeWarning, match="oracle's partition is unknown"):
+            report = classify(nice, with_oracle=True)
+        assert report.partition == (3, 3) and report.diagnostics == ()
         lines = []
         result = run_verification(families=("C",), max_n=4, trials=2, emit=lines.append)
         assert result.failures and len(result.failures) < result.checked
@@ -379,21 +384,33 @@ class TestOracleEquivalence:
                 assert lam == richardson_partition(b)
 
     def test_non_nice_certificates(self):
-        # dim g^X = dim m holds for generic elements of arbitrary parabolics
-        def certified(b):
+        # dim g^X = dim m holds for generic elements of arbitrary parabolics,
+        # and the certified Jordan type is the induction formula's
+        def check(b):
             lam = jordan_partition(generic_nilradical_element(b, 23))
-            return certified_centralizer_dim(b.kind, lam, levi_dim(b))[1]
+            label = (b.kind.name, b.d, b.central, lam)
+            assert certified_centralizer_dim(b.kind, lam, levi_dim(b))[1], label
+            assert lam == richardson_partition(b), label
 
         for kind in classical_kinds_up_to(("A", "B", "C", "D"), 9):
             for b in all_block_vectors(kind):
                 if not is_nice(b):
-                    assert certified(b), (kind.name, b.d, b.central)
+                    check(b)
         rng = random.Random(3)
         for n_val in (10, 11, 12):
             kind = LieKind("A", n_val - 1)
             rest = [b for b in all_block_vectors(kind) if not is_nice(b)]
             for b in rng.sample(rest, 60):
-                assert certified(b), (kind.name, b.d)
+                check(b)
+        non_nice_bcd = 0
+        for kind in classical_kinds_up_to(("B", "C", "D"), 12):
+            for b in all_block_vectors(kind):
+                if is_nice(b):
+                    continue
+                lam, cert = oracle_partition_detail(b, trials=3)
+                assert cert and lam == richardson_partition(b), (kind.name, b.d, b.central, lam)
+                non_nice_bcd += 1
+        assert non_nice_bcd == 62
 
 
 class TestLeviBlocks:

@@ -4,24 +4,26 @@ import pytest
 
 from richardson import partitions
 from richardson.classify import is_nice
-from richardson.core import BlockVector, InvariantError, LieKind, n_odd, transpose
+from richardson.core import BlockVector, InvariantError, LieKind, all_block_vectors, n_odd, transpose
 from richardson.partitions import (
-    FormulaDomainError,
     InvalidKernelProfileError,
-    dual_partition_bcd,
-    partition_bcd,
     partition_from_kernel_dims,
-    partition_type_a,
     richardson_partition,
 )
 from richardson.verify import classical_kinds_up_to
 
-from reference import rank_and_kernel, so_even_single_odd_partition
+import reference
+from reference import (
+    FormulaDomainError,
+    dual_partition_bcd,
+    partition_bcd,
+    partition_type_a,
+    rank_and_kernel,
+    so_even_single_odd_partition,
+)
 
 
 def nice_bcd(max_n):
-    from richardson.core import all_block_vectors
-
     for kind in classical_kinds_up_to(("B", "C", "D"), max_n):
         for b in all_block_vectors(kind):
             if is_nice(b):
@@ -84,7 +86,7 @@ class TestPartitionBCD:
 
     def test_wrong_size_raises_invariant_error(self, monkeypatch):
         # a closed form that loses a box must fail loudly, also under python -O
-        monkeypatch.setattr(partitions, "_partition_bcd", lambda fam, s, c: (4, 3))
+        monkeypatch.setattr(reference, "_partition_bcd", lambda fam, s, c: (4, 3))
         with pytest.raises(InvariantError, match="does not sum to N = 8"):
             partition_bcd(BlockVector(LieKind("C", 4), (2, 2), None))
 
@@ -106,6 +108,21 @@ class TestPartitionBCD:
     def test_sum_is_matrix_size(self):
         for b in nice_bcd(14):
             assert sum(richardson_partition(b)) == b.N
+
+    def test_induction_formula_matches_closed_forms(self):
+        # the one induction formula against the family-by-family closed forms
+        # on their whole domain: every type A vector and every nice B/C/D one
+        checked = 0
+        for kind in classical_kinds_up_to(("A", "B", "C", "D"), 14):
+            for b in all_block_vectors(kind):
+                if kind.family == "A":
+                    assert richardson_partition(b) == partition_type_a(b), b
+                elif is_nice(b):
+                    assert richardson_partition(b) == partition_bcd(b), b
+                else:
+                    continue
+                checked += 1
+        assert checked == 16784  # 16382 type A vectors and 402 nice B/C/D ones
 
     def test_transpose_of_dual_route(self):
         for b in nice_bcd(14):

@@ -91,3 +91,17 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) == 0, (line, capsys.readouterr().err)
     capsys.readouterr()
     assert (tmp_path / "e8.json").is_file() and len(list((tmp_path / "tables").iterdir())) == 5
+
+
+def test_no_function_level_relative_imports():
+    # a relative import inside a function hides an import cycle between
+    # library modules; every module imports its dependencies at the top
+    found = [
+        f"{path.name}:{inner.lineno}"
+        for path in sorted(Path(richardson.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.ImportFrom) and inner.level > 0
+    ]
+    assert found == [], f"function-level relative imports: {found}"
