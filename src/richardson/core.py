@@ -15,13 +15,20 @@ Conventions:
   sizes of the Levi are read off the diagonal.
 * For ``B/C/D`` the block sequence is palindromic; a :class:`BlockVector`
   stores only the first half plus the optional central block.
-* Grading data is carried as the integral diagonal of ``2H`` (``H`` itself
-  may be half-integral in type D).
+* One cut rule links the two descriptors.  Crossing node i (i < n in
+  B/C/D, every node in type A) cuts the diagonal after position i, mirrored
+  in B/C/D.  In B/C/D the last node decides the middle: crossing it cuts
+  there, leaving B a central block of 1 and C/D none; otherwise the
+  innermost half block joins its mirror in a central block of
+  ``2(n - last cut)``, plus 1 in B.  In type D the canonical pairs
+  ``(u_{n-1}, u_n)`` read (0, 1) as the middle cut, (1, 1) as a central
+  block of 2 and (0, 0) as a merge.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -43,7 +50,6 @@ __all__ = [
     "coloring_from_blocks",
     "all_colorings",
     "all_block_vectors",
-    "compositions",
     "partitions_of",
 ]
 
@@ -142,7 +148,7 @@ class Coloring:
     u: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        u = tuple(int(x) for x in self.u)
+        u = tuple(operator.index(x) for x in self.u)
         object.__setattr__(self, "u", u)
         if len(u) != self.kind.rank:
             raise DescriptorError(
@@ -177,8 +183,10 @@ class BlockVector:
     central: int | None = None
 
     def __post_init__(self) -> None:
-        d = tuple(int(x) for x in self.d)
+        d = tuple(operator.index(x) for x in self.d)
         object.__setattr__(self, "d", d)
+        if self.central is not None:
+            object.__setattr__(self, "central", operator.index(self.central))
         kind, c = self.kind, self.central
         if not kind.is_classical:
             raise UnsupportedKindError(f"block vectors are classical-only, got {kind.name}")
@@ -200,8 +208,8 @@ class BlockVector:
                 f"palindromic blocks must sum to {N}, got {total} from d={d}, central={c}"
             )
         if fam == "B":
-            if c is None or c % 2 == 0:
-                raise DescriptorError("type B always has an odd central block")
+            if c is None or c < 1 or c % 2 == 0:
+                raise DescriptorError(f"type B always has an odd positive central block, got {c}")
         elif c is not None and (c < 2 or c % 2):
             raise DescriptorError(f"type {fam} central block must be even and positive, got {c}")
         if fam == "D" and c is None and (not d or d[-1] < 2):
@@ -284,63 +292,29 @@ def is_palindromic(seq: Sequence[int]) -> bool:
 # coloring <-> blocks
 
 
-def _grading_diagonal(c: Coloring) -> list[int]:
-    """Diagonal of 2H in the matrix realization, from alpha_i(H) = u_i."""
-    kind = c.kind
-    u = c.u
-    n = kind.rank
-    fam = kind.family
-    if fam == "A":
-        # a_N = 0, a_i = a_{i+1} + u_i; only differences matter for runs
-        a = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            a[i] = a[i + 1] + u[i]
-        return [2 * x for x in a]
-    # t_i = 2 a_i for the half diag (a_1 >= ... >= a_n >= 0 after canonicalization)
-    t = [0] * n
-    if fam == "B":
-        t[n - 1] = 2 * u[n - 1]
-        for i in range(n - 2, -1, -1):
-            t[i] = t[i + 1] + 2 * u[i]
-    elif fam == "C":
-        t[n - 1] = u[n - 1]
-        for i in range(n - 2, -1, -1):
-            t[i] = t[i + 1] + 2 * u[i]
-    else:  # D
-        t[n - 1] = u[n - 1] - u[n - 2]
-        t[n - 2] = u[n - 2] + u[n - 1]
-        for i in range(n - 3, -1, -1):
-            t[i] = t[i + 1] + 2 * u[i]
-    if t[-1] < 0:
-        raise DescriptorError("non-canonical type D coloring; call canonical() first")
-    mid = [0] if fam == "B" else []
-    return t + mid + [-x for x in reversed(t)]
-
-
-def _runs(diag: Sequence[int]) -> tuple[int, ...]:
-    """Lengths of maximal constant runs."""
-    out: list[int] = []
-    for _, grp in itertools.groupby(diag):
-        out.append(sum(1 for _ in grp))
-    return tuple(out)
-
-
 def blocks_from_coloring(c: Coloring) -> BlockVector:
     """Diagonal block sizes of the standard Levi defined by a coloring.
 
-    The blocks are the maximal constant runs of diag(2H) where H solves
-    alpha_i(H) = u_i.  Type D colorings are canonicalized first.
+    Crossing node i cuts the diagonal after position i (mirrored in B/C/D);
+    in B/C/D the last node decides the middle, see the module docstring.
+    Type D colorings are canonicalized first.
     """
-    if not c.kind.is_classical:
-        raise UnsupportedKindError(f"{c.kind.name} has no matrix block description")
-    c = c.canonical()
-    blocks = _runs(_grading_diagonal(c))
-    if c.kind.family == "A":
-        return BlockVector(c.kind, blocks)
-    m = len(blocks)
-    if m % 2:
-        return BlockVector(c.kind, blocks[: m // 2], blocks[m // 2])
-    return BlockVector(c.kind, blocks[: m // 2], None)
+    kind = c.kind
+    if not kind.is_classical:
+        raise UnsupportedKindError(f"{kind.name} has no matrix block description")
+    u = c.canonical().u
+    n, fam = kind.rank, kind.family
+    central = None
+    if fam == "A":
+        cuts = [0, *(i for i in range(1, n + 1) if u[i - 1]), n + 1]
+    else:
+        cuts = [0, *(i for i in range(1, n) if u[i - 1])]
+        if u[-1] and not (fam == "D" and u[-2]):
+            cuts.append(n)  # the middle cut: D's canonical pair (0, 1)
+            central = 1 if fam == "B" else None
+        else:
+            central = 2 * (n - cuts[-1]) + (1 if fam == "B" else 0)
+    return BlockVector(kind, tuple(b - a for a, b in zip(cuts, cuts[1:])), central)
 
 
 def coloring_from_blocks(b: BlockVector) -> Coloring:
@@ -350,39 +324,15 @@ def coloring_from_blocks(b: BlockVector) -> Coloring:
     """
     kind = b.kind
     n = kind.rank
-    fam = kind.family
-    blocks = b.full_blocks()
-    bounds = set(itertools.accumulate(blocks[:-1]))  # positions 1..N-1
-    if fam == "A":
-        return Coloring(kind, tuple(1 if i in bounds else 0 for i in range(1, n + 1)))
-    u = [1 if i in bounds else 0 for i in range(1, n - 1)]
-    if fam in "BC":
-        u.append(1 if (n - 1) in bounds else 0)
-        u.append(1 if n in bounds else 0)
-    else:  # D
-        if b.central is None:
-            # innermost pair straddles the middle; canonical form is (0, 1)
-            u.append(0)
-            u.append(1)
-        else:
-            x = 1 if (n - 1) in bounds else 0
-            u.append(x)
-            u.append(x)
+    cuts = set(itertools.accumulate(b.d))
+    u = [int(i in cuts) for i in range(1, n + 1)]
+    if kind.family == "D" and n - 1 in cuts:
+        u[-1] = 1  # a central block of 2 is the pair (1, 1)
     return Coloring(kind, tuple(u))
 
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def compositions(total: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of ``total`` into positive parts (deterministic order)."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
 
 
 def partitions_of(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -402,21 +352,11 @@ def all_colorings(kind: LieKind) -> Iterator[Coloring]:
         yield Coloring(kind, u)
 
 
-def all_block_vectors(kind: LieKind) -> Iterator[BlockVector]:
-    """All valid block vectors for a classical kind, deterministic order."""
-    N = kind.matrix_size
-    fam = kind.family
-    if fam == "A":
-        for comp in compositions(N):
-            yield BlockVector(kind, comp)
-        return
-    for half in range(N // 2 + 1):
-        central = N - 2 * half
-        for comp in compositions(half):
-            if central == 0:
-                if fam == "C" and comp:
-                    yield BlockVector(kind, comp, None)
-                elif fam == "D" and comp and comp[-1] >= 2:
-                    yield BlockVector(kind, comp, None)
-            elif fam == "B" or central % 2 == 0:
-                yield BlockVector(kind, comp, central)
+def all_block_vectors(kind: LieKind) -> list[BlockVector]:
+    """The blocks of every canonical coloring of a classical kind.
+
+    Returns a list sorted by ``(sum(d), d)``: in B/C/D the half size first,
+    then d lexicographically; in type A, d lexicographically.
+    """
+    vectors = (blocks_from_coloring(c) for c in all_colorings(kind) if c.canonical() == c)
+    return sorted(vectors, key=lambda b: (sum(b.d), b.d))

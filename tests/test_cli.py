@@ -85,6 +85,12 @@ class TestClassify:
             assert code == 2, blocks
             assert needle in err, blocks
 
+    def test_nonpositive_central_exit_2(self, capsys):
+        # 2*3 - 1 = 5 matches B2's matrix size, but no Levi has a block of -1
+        code, out, err = run_cli(capsys, "classify", "--kind", "B2", "--blocks", "3", "--central", "-1")
+        assert code == 2 and out == ""
+        assert "odd positive central block" in err
+
     def test_full_palindrome_hint(self, capsys):
         code, _, err = run_cli(capsys, "classify", "--kind", "C3", "--blocks", "2,2,2")
         assert code == 2

@@ -121,6 +121,9 @@ class TestBlockVectorValidation:
             BlockVector(LieKind("B", 3), (2,), None)
         with pytest.raises(DescriptorError):
             BlockVector(LieKind("B", 3), (2, 1), 2)  # even central
+        # the sizes add up to N = 5, but a block cannot be negative
+        with pytest.raises(DescriptorError):
+            BlockVector(LieKind("B", 2), (3,), -1)
 
     def test_c_central_even(self):
         BlockVector(LieKind("C", 2), (1,), 2)
@@ -137,6 +140,15 @@ class TestBlockVectorValidation:
     def test_exceptional_rejected(self):
         with pytest.raises(UnsupportedKindError):
             BlockVector(LieKind.parse("F4"), (2, 2))
+
+    def test_non_integer_entries_rejected(self):
+        # truncating would accept (1.9, 2.2) as the A2 blocks (1, 2)
+        with pytest.raises(TypeError):
+            BlockVector(LieKind("A", 2), (1.9, 2.2))
+        with pytest.raises(TypeError):
+            BlockVector(LieKind("C", 2), (1,), 2.0)
+        with pytest.raises(TypeError):
+            Coloring(LieKind("A", 2), (0.7, 1.2))
 
     def test_full_blocks(self):
         b = BlockVector(LieKind("C", 3), (2,), 2)
@@ -192,13 +204,16 @@ class TestEnumeration:
         us = [c.u for c in all_colorings(LieKind("B", 2))]
         assert us == sorted(us)
 
-    def test_block_vectors_valid_and_complete(self):
-        # every enumerated vector validates; every coloring's blocks appear
-        for fam, rank in (("A", 4), ("B", 3), ("C", 3), ("D", 4)):
-            kind = LieKind(fam, rank)
-            enumerated = set(all_block_vectors(kind))
-            from_colorings = {blocks_from_coloring(c) for c in all_colorings(kind)}
-            assert from_colorings <= enumerated
+    def test_block_vector_counts_distinct_and_ordered(self):
+        # one vector per parabolic: 2^n of them, and 3 * 2^(n-2) in type D,
+        # where a crossed node n-1 or n alone names the same Levi
+        for fam, lo in CLASSICAL_RANGES:
+            for rank in range(lo, 11):
+                vectors = all_block_vectors(LieKind(fam, rank))
+                assert len(vectors) == (3 * 2 ** (rank - 2) if fam == "D" else 2**rank)
+                assert len(set(vectors)) == len(vectors)
+                keys = [(sum(b.d), b.d) for b in vectors]
+                assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     def test_sp4_block_vectors(self):
         got = {(b.d, b.central) for b in all_block_vectors(LieKind("C", 2))}

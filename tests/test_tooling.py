@@ -105,3 +105,39 @@ def test_no_function_level_relative_imports():
         if isinstance(inner, ast.ImportFrom) and inner.level > 0
     ]
     assert found == [], f"function-level relative imports: {found}"
+
+
+def test_no_unreferenced_private_helpers():
+    # a deletion can orphan the private helper it used: every top-level
+    # ``_name`` in the library is read by some other top-level statement
+    def defined(stmt):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [stmt.name]
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+
+    def reads(stmt):
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        return names
+
+    statements = [
+        (path.name, stmt)
+        for path in sorted(Path(richardson.__file__).parent.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    read = [reads(stmt) for _, stmt in statements]
+    orphans = [
+        f"{name}:{stmt.lineno} {helper}"
+        for i, (name, stmt) in enumerate(statements)
+        for helper in defined(stmt)
+        if helper.startswith("_") and not helper.startswith("__")
+        and not any(helper in names for j, names in enumerate(read) if j != i)
+    ]
+    assert orphans == [], f"private helpers nothing else in the library reads: {orphans}"
