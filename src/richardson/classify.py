@@ -235,7 +235,6 @@ class ClassificationReport:
     sl2_given: bool = False
     normal: str = OUT_OF_SCOPE
     partition: tuple[int, ...] | None = None
-    birational_by_partition: bool | None = None
     orbit_dim: int | None = None
     covering_degree: int | None = None
     label: str | None = None
@@ -255,8 +254,9 @@ def classify(
     B/C/D.  On non-nice B/C/D it is the matrix oracle's on request, and it
     stays None when no oracle sample is certified generic.  Where the
     formula applies, ``with_oracle`` runs the oracle as a referee and notes
-    a certified value that differs.  The stabilizer test on the partition is
-    recorded as a cross-check next to the block-criteria answer.
+    a certified value that differs.  The stabilizer test on the partition
+    cross-checks the block criteria, and a disagreement is noted in
+    ``diagnostics``.
     """
     kind = b.kind
     nice = is_nice(b)
@@ -272,7 +272,6 @@ def classify(
         elif certified is not None and certified != partition:
             diagnostics.append(f"closed form {partition} != certified oracle {certified}")
 
-    bir_part = None
     if partition is not None:
         bir_part = is_birational_by_partition(kind, b, partition)
         if kind.family != "A" and bir_part != bir_blocks:
@@ -295,7 +294,6 @@ def classify(
         sl2_given=is_sl2_given(b),
         normal=normal_closure(b),
         partition=partition,
-        birational_by_partition=bir_part,
         orbit_dim=kind.dim - oracle.levi_dim(b),
         covering_degree=degree,
         diagnostics=tuple(diagnostics),

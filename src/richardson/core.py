@@ -73,7 +73,7 @@ _EXC_DIM = {("G", 2): 14, ("F", 4): 52, ("E", 6): 78, ("E", 7): 133, ("E", 8): 2
 _KIND_RE = re.compile(r"^([A-G])(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class LieKind:
     """A simple Lie algebra type: one of A_n, B_n, C_n, D_n, G2, F4, E6-E8."""
 
@@ -81,7 +81,8 @@ class LieKind:
     rank: int
 
     def __post_init__(self) -> None:
-        fam, n = self.family, self.rank
+        fam, n = self.family, operator.index(self.rank)
+        object.__setattr__(self, "rank", n)
         if fam in MIN_RANK:
             ok = n >= MIN_RANK[fam]
         elif any(fam == f for f, _ in _EXC_DIM):
@@ -238,7 +239,7 @@ class BlockVector:
 
 
 def check_partition(p: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(int(x) for x in p)
+    p = tuple(operator.index(x) for x in p)
     if any(x < 1 for x in p):
         raise DescriptorError(f"partition parts must be positive, got {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):

@@ -20,7 +20,6 @@ __all__ = [
     "RootSystem",
     "root_system",
     "grading_dims",
-    "dim_g0",
     "orbit_dim",
     "exceptional_lookup",
     "appendix_colorings",
@@ -64,14 +63,6 @@ class RootSystem:
 
     kind: LieKind
     positive_roots: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return self.kind.rank
-
-    @property
-    def dim(self) -> int:
-        return self.rank + 2 * len(self.positive_roots)
 
     @property
     def highest_root(self) -> tuple[int, ...]:
@@ -120,18 +111,14 @@ def root_system(kind: LieKind) -> RootSystem:
     return RootSystem(kind, pos)
 
 
-def grading_dims(rs: RootSystem, coloring: Coloring) -> dict[int, int]:
+def grading_dims(coloring: Coloring) -> dict[int, int]:
     """Dimensions of the graded pieces g_i for the grading alpha_i(H) = u_i."""
-    if coloring.kind != rs.kind:
-        raise UnsupportedKindError(
-            f"coloring is for {coloring.kind.name}, root system for {rs.kind.name}"
-        )
     u = coloring.u
     counts: dict[int, int] = {}
-    for root in rs.positive_roots:
+    for root in root_system(coloring.kind).positive_roots:
         g = sum(c * x for c, x in zip(root, u))
         counts[g] = counts.get(g, 0) + 1
-    dims = {0: rs.rank + 2 * counts.get(0, 0)}
+    dims = {0: coloring.kind.rank + 2 * counts.get(0, 0)}
     for g, k in counts.items():
         if g != 0:
             dims[g] = k
@@ -139,13 +126,9 @@ def grading_dims(rs: RootSystem, coloring: Coloring) -> dict[int, int]:
     return dims
 
 
-def dim_g0(coloring: Coloring) -> int:
-    return grading_dims(root_system(coloring.kind), coloring)[0]
-
-
-def orbit_dim(rs: RootSystem, coloring: Coloring) -> int:
+def orbit_dim(coloring: Coloring) -> int:
     """Richardson orbit dimension dim g - dim g_0."""
-    return rs.dim - grading_dims(rs, coloring)[0]
+    return coloring.kind.dim - grading_dims(coloring)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +303,7 @@ def exceptional_lookup(coloring: Coloring) -> ClassificationReport:
         nice=nice,
         birational=birational,
         sl2_given=nice and label is None,
-        orbit_dim=orbit_dim(root_system(kind), coloring),
+        orbit_dim=orbit_dim(coloring),
         label=label,
     )
 

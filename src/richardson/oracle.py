@@ -299,13 +299,13 @@ def certified_centralizer_dim(
 
 def oracle_partition_detail(
     b: BlockVector, trials: int = 3, base_seed: int = 1
-) -> tuple[tuple[int, ...] | None, bool]:
-    """Certified Jordan type of a generic nilradical element, or nothing.
+) -> tuple[int, ...] | None:
+    """Certified Jordan type of a generic nilradical element, or None.
 
     Samples seeds base_seed .. base_seed+trials-1 and stops at the first
     sample certified generic by dim g^X = dim g - 2 dim n (= dim m): its
-    Jordan type is the Richardson partition, returned as ``(lam, True)``.
-    If no sample certifies, the partition is unknown: ``(None, False)``.
+    Jordan type is the Richardson partition.  If no sample certifies, the
+    partition is unknown and None is returned.
 
     The bound holds for every X in n: [p, X] lies in n and [n^-, X] has at
     most dim n^- = dim n dimensions, so dim [g, X] <= 2 dim n.
@@ -316,8 +316,8 @@ def oracle_partition_detail(
     for t in range(trials):
         lam = jordan_partition(generic_nilradical_element(b, base_seed + t))
         if certified_centralizer_dim(b.kind, lam, target)[1]:
-            return lam, True
-    return None, False
+            return lam
+    return None
 
 
 def oracle_richardson_partition(
@@ -325,8 +325,8 @@ def oracle_richardson_partition(
 ) -> tuple[int, ...] | None:
     """Certified Richardson partition by randomized sampling, or None with a
     warning when no sample certifies as generic."""
-    lam, certified = oracle_partition_detail(b, trials, base_seed)
-    if not certified:
+    lam = oracle_partition_detail(b, trials, base_seed)
+    if lam is None:
         warnings.warn(
             f"no sample certified generic for {b.kind.name} d={b.d} central={b.central}; "
             "the oracle's partition is unknown",

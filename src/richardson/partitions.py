@@ -12,6 +12,7 @@ so the answer does not depend on the block order.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .core import BlockVector, InvariantError, check_partition
@@ -68,7 +69,7 @@ def partition_from_kernel_dims(kdims: Sequence[int]) -> tuple[int, ...]:
     constant after index m); validity requires the profile to be weakly
     increasing with weakly decreasing increments.
     """
-    k = [int(x) for x in kdims]
+    k = [operator.index(x) for x in kdims]
     if not k or k[0] != 0:
         raise InvalidKernelProfileError("profile must start at dim ker X^0 = 0")
     diffs = [k[i + 1] - k[i] for i in range(len(k) - 1)]

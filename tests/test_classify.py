@@ -222,10 +222,11 @@ class TestClassify:
         assert r.partition == (3, 3)
 
     def test_d7_report(self):
-        r = classify(bv("D7", (3, 4)))
+        b = bv("D7", (3, 4))
+        r = classify(b)
         assert (r.nice, r.birational, r.sl2_given, r.normal) == (True, False, False, OUT_OF_SCOPE)
         assert r.partition == (4, 4, 3, 3)
-        assert r.birational_by_partition is False
+        assert is_birational_by_partition(b.kind, b, r.partition) is False
 
     def test_type_a_birational_field_always_true(self):
         for kind in classical_kinds_up_to(("A",), 10):
@@ -248,7 +249,7 @@ class TestClassify:
         r = classify(b, with_oracle=True)
         assert r.partition is not None
         assert sum(r.partition) == 6
-        assert r.birational_by_partition is not None
+        assert is_birational_by_partition(b.kind, b, r.partition) is False
 
     def test_oracle_referees_the_closed_form(self, monkeypatch):
         # with_oracle also runs the oracle where the closed form applies, and

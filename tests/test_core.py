@@ -59,6 +59,13 @@ class TestLieKind:
         assert LieKind("D", 4).dim == 28
         assert LieKind.parse("E8").dim == 248
 
+    def test_non_integer_rank_rejected(self):
+        # C2.5 would have matrix size 5.0; a float rank is refused, not kept
+        with pytest.raises(TypeError):
+            LieKind("C", 2.5)
+        with pytest.raises(TypeError):
+            LieKind("A", 2.0)
+
 
 class TestPartitionOps:
     def test_transpose_examples(self):
@@ -98,6 +105,15 @@ class TestPartitionOps:
             transpose((1, 2))
         with pytest.raises(DescriptorError):
             n_odd((2, 0))
+
+    def test_non_integer_parts_rejected(self):
+        # truncating would read (2.7, 1.2) as the partition (2, 1)
+        with pytest.raises(TypeError):
+            transpose((2.7, 1.2))
+        with pytest.raises(TypeError):
+            n_odd((3.9,))
+        with pytest.raises(TypeError):
+            parity_descents((3.0, 3, 2, 2), 0)
 
     def test_unimodal_palindromic(self):
         assert is_unimodal((1, 2, 2, 1))

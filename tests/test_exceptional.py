@@ -10,7 +10,6 @@ from richardson.exceptional import (
     NON_SL2_ORBITS,
     appendix_colorings,
     appendix_records,
-    dim_g0,
     exceptional_lookup,
     grading_dims,
     orbit_dim,
@@ -31,7 +30,7 @@ class TestRootSystems:
     def test_counts(self, name, count, dim):
         rs = root_system(kind(name))
         assert len(rs.positive_roots) == count
-        assert rs.dim == dim
+        assert rs.kind.rank + 2 * len(rs.positive_roots) == dim
 
     @pytest.mark.parametrize(
         "name,highest",
@@ -67,21 +66,21 @@ class TestRootSystems:
 
 class TestGrading:
     def test_trivial_coloring(self):
-        rs = root_system(kind("G2"))
-        assert grading_dims(rs, Coloring(kind("G2"), (0, 0))) == {0: 14}
+        assert grading_dims(Coloring(kind("G2"), (0, 0))) == {0: 14}
 
     def test_e7_reference_levi_dims(self):
-        assert dim_g0(Coloring(kind("E7"), (1, 1, 0, 0, 0, 0, 1))) == 27
-        assert dim_g0(Coloring(kind("E7"), (0, 0, 1, 0, 0, 0, 1))) == 29
+        assert grading_dims(Coloring(kind("E7"), (1, 1, 0, 0, 0, 0, 1)))[0] == 27
+        assert grading_dims(Coloring(kind("E7"), (0, 0, 1, 0, 0, 0, 1)))[0] == 29
 
     def test_dims_sum_to_dim_g(self):
         rng = random.Random(17)
         for name in EXC:
             rs = root_system(kind(name))
+            dim = rs.kind.rank + 2 * len(rs.positive_roots)
             for _ in range(1000):
-                u = tuple(rng.randint(0, 1) for _ in range(rs.rank))
-                dims = grading_dims(rs, Coloring(kind(name), u))
-                assert sum(dims.values()) == rs.dim
+                u = tuple(rng.randint(0, 1) for _ in range(rs.kind.rank))
+                dims = grading_dims(Coloring(kind(name), u))
+                assert sum(dims.values()) == dim
                 assert all(dims[g] == dims[-g] for g in dims)
 
     def test_orbit_dims_section_table(self):
@@ -94,8 +93,7 @@ class TestGrading:
             ("E8", (0, 0, 1, 0, 0, 0, 1, 0)): 216,
         }
         for (name, u), dim in expected.items():
-            rs = root_system(kind(name))
-            assert orbit_dim(rs, Coloring(kind(name), u)) == dim
+            assert orbit_dim(Coloring(kind(name), u)) == dim
 
 
 class TestAppendixData:
@@ -120,11 +118,10 @@ class TestAppendixData:
     def test_nice_gradings_have_non_increasing_dims(self):
         # a Richardson X in g_1 makes ad X: g_k -> g_{k+1} onto for k >= 0
         for name in EXC:
-            rs = root_system(kind(name))
-            for c in all_colorings(rs.kind):
+            for c in all_colorings(kind(name)):
                 if not exceptional_lookup(c).nice:
                     continue
-                dims = grading_dims(rs, c)
+                dims = grading_dims(c)
                 top = max(dims)
                 assert all(dims.get(k, 0) >= dims.get(k + 1, 0) for k in range(top)), (
                     name,
@@ -137,9 +134,9 @@ class TestAppendixData:
             rs = root_system(kind(name))
             non_sl2 = [Coloring(rs.kind, u) for n, u in NON_SL2_ORBITS if n == name]
             for c in (*appendix_colorings(rs.kind), *non_sl2):
-                dim = orbit_dim(rs, c)
+                dim = orbit_dim(c)
                 assert dim % 2 == 0
-                assert 0 <= dim <= rs.dim - rs.rank
+                assert 0 <= dim <= 2 * len(rs.positive_roots)
 
     def test_stored_dims_match_recomputed(self):
         # the table stores only labels; the paper's dimensions are pinned here
@@ -150,7 +147,8 @@ class TestAppendixData:
             rec = exceptional_lookup(c)
             assert rec.label == label
             assert rec.nice and not rec.sl2_given
-            assert rec.orbit_dim == rs.dim - dim_g0(c) == paper_dims[label][name]
+            dim = rs.kind.rank + 2 * len(rs.positive_roots)
+            assert rec.orbit_dim == dim - grading_dims(c)[0] == paper_dims[label][name]
 
     def test_duplicate_free(self):
         for name in EXC:
@@ -185,8 +183,10 @@ class TestLookup:
                 assert rec.sl2_given == rec.nice
 
     def test_classical_rejected(self):
-        with pytest.raises(UnsupportedKindError):
-            exceptional_lookup(Coloring(LieKind("A", 2), (1, 0)))
+        a2 = Coloring(LieKind("A", 2), (1, 0))
+        for fn in (exceptional_lookup, grading_dims, orbit_dim):
+            with pytest.raises(UnsupportedKindError):
+                fn(a2)
 
     def test_borel_and_full(self):
         for name in EXC:

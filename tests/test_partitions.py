@@ -213,6 +213,10 @@ class TestKernelProfile:
         with pytest.raises(InvalidKernelProfileError):
             partition_from_kernel_dims((0, 1, 3))  # increments increase
 
+    def test_non_integer_profile_rejected(self):
+        with pytest.raises(TypeError):
+            partition_from_kernel_dims([0, 2.0, 3.0])
+
     def test_lost_part_raises_invariant_error(self, monkeypatch):
         # drop the largest part after sorting; the parts no longer sum to dim ker
         monkeypatch.setattr(

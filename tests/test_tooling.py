@@ -141,3 +141,40 @@ def test_no_unreferenced_private_helpers():
         and not any(helper in names for j, names in enumerate(read) if j != i)
     ]
     assert orphans == [], f"private helpers nothing else in the library reads: {orphans}"
+
+
+def test_dataclass_fields_are_read():
+    # a field that no library module reads is a dead field: every dataclass
+    # field in the library is loaded as an attribute somewhere in it
+    def is_dataclass(cls):
+        for dec in cls.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            if isinstance(target, ast.Name) and target.id == "dataclass":
+                return True
+        return False
+
+    trees = [
+        (path.name, ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(Path(richardson.__file__).parent.glob("*.py"))
+    ]
+    loaded = {
+        node.attr
+        for _, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (name, cls, stmt)
+        for name, tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert len(fields) > 10
+    unread = [
+        f"{name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+        for name, cls, stmt in fields
+        if stmt.target.id not in loaded
+    ]
+    assert unread == [], f"dataclass fields no library module reads: {unread}"
