@@ -55,7 +55,7 @@ from .oracle import (
     oracle_richardson_partition,
     realization,
 )
-from .partitions import partition_from_kernel_dims, richardson_partition
+from .partitions import richardson_partition
 from .verify import run_verification
 
 __version__ = "0.1.0"

@@ -105,7 +105,7 @@ def is_birational_by_blocks(b: BlockVector) -> bool:
     return len(odd) == 1 and odd[0] <= s[-1] - 3
 
 
-def is_birational_by_partition(kind: LieKind, b: BlockVector, lam) -> bool:
+def is_birational_by_partition(b: BlockVector, lam) -> bool:
     """Stabilizer-equality test on the Jordan type of a Richardson element.
 
     Odd blocks: the number of odd parts equals the central block size.
@@ -115,12 +115,12 @@ def is_birational_by_partition(kind: LieKind, b: BlockVector, lam) -> bool:
     lam = tuple(lam)
     if sum(lam) != b.N:
         raise PartitionMismatchError(f"partition sums to {sum(lam)}, expected {b.N}")
-    if kind.family == "A":
+    if b.kind.family == "A":
         return True
     c = b.central
     if c is not None:
         return n_odd(lam) == c
-    if kind.family == "C":
+    if b.kind.family == "C":
         return n_odd(lam) == 0
     drops = parity_descents(lam, 0)
     if drops:
@@ -254,8 +254,8 @@ def classify(
     B/C/D.  On non-nice B/C/D it is the matrix oracle's on request, and it
     stays None when no oracle sample is certified generic.  Where the
     formula applies, ``with_oracle`` runs the oracle as a referee and notes
-    a certified value that differs.  The stabilizer test on the partition
-    cross-checks the block criteria, and a disagreement is noted in
+    a certified value that differs.  On B/C/D the stabilizer test on the
+    partition cross-checks the block criteria, and a disagreement is noted in
     ``diagnostics``.
     """
     kind = b.kind
@@ -272,9 +272,8 @@ def classify(
         elif certified is not None and certified != partition:
             diagnostics.append(f"closed form {partition} != certified oracle {certified}")
 
-    if partition is not None:
-        bir_part = is_birational_by_partition(kind, b, partition)
-        if kind.family != "A" and bir_part != bir_blocks:
+    if partition is not None and kind.family != "A":
+        if is_birational_by_partition(b, partition) != bir_blocks:
             diagnostics.append(
                 "stabilizer test on the computed partition disagrees with the "
                 "block criteria (expected for non-nice inputs, where the block "

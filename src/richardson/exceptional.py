@@ -5,7 +5,9 @@ Which exceptional parabolics carry a Richardson element in the first graded
 part (and whether its stabilizers in P and G agree) is not recomputed from
 scratch; it is encoded data, checked against the graded dimensions where
 reference values exist.  Orbit dimensions are always computed from the root
-system as dim g - dim g_0.
+system as dim g - dim g_0.  The positive roots are the closure of the simple
+roots under the simple reflections s_i(beta) = beta - <beta, alpha_i^vee>
+alpha_i, taken wherever the pairing is negative.
 """
 
 from __future__ import annotations
@@ -64,37 +66,28 @@ class RootSystem:
     kind: LieKind
     positive_roots: tuple[tuple[int, ...], ...]
 
-    @property
-    def highest_root(self) -> tuple[int, ...]:
-        return max(self.positive_roots, key=sum)
-
 
 def _close_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Positive roots by root-string closure from the simple roots."""
+    """Positive roots by reflection closure from the simple roots.
+
+    A positive root beta with <beta, alpha_i^vee> < 0 reflects to the higher
+    positive root s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, and every
+    non-simple positive root is such a reflection of a lower one (Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, 10.2-10.3).
+    """
     rank = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    roots: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for alpha in frontier:
-            for i in range(rank):
-                pairing = sum(c * cartan[i][j] for j, c in enumerate(alpha))
-                down = 0
-                lower = list(alpha)
-                while True:
-                    lower[i] -= 1
-                    if lower[i] < 0 or tuple(lower) not in roots:
-                        break
-                    down += 1
-                if down - pairing >= 1:  # the string continues upward
-                    up = list(alpha)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
+    roots = set(simple)
+    todo = list(simple)
+    while todo:
+        beta = todo.pop()
+        for i, row in enumerate(cartan):
+            pairing = sum(c * a for c, a in zip(beta, row))
+            if pairing < 0:
+                up = beta[:i] + (beta[i] - pairing,) + beta[i + 1 :]
+                if up not in roots:
+                    roots.add(up)
+                    todo.append(up)
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 

@@ -7,7 +7,8 @@ Everything here is exact and runs on one integer matrix type.  One walker,
 generic nilradical element is written from those sparse entries into one
 N x N array, and dense basis matrices are built only where a caller reads
 them.  Jordan types come from ranks of integer matrix powers via
-fraction-free (Bareiss) elimination.  The genericity certificate
+fraction-free (Bareiss) elimination: the drops rank X^(k-1) - rank X^k are
+the transposed Jordan type.  The genericity certificate
 ``dim g^X = dim g - 2 dim n`` reads dim g^X off the exact Jordan type of X
 (Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie Algebras*,
 Cor. 6.1.4); the right side, which equals dim m, is a lower bound for it
@@ -33,7 +34,6 @@ from .core import (
     n_odd,
     transpose,
 )
-from .partitions import partition_from_kernel_dims
 
 __all__ = [
     "ExactMatrix",
@@ -173,16 +173,14 @@ def _root_entries(
     """
     N = kind.matrix_size
     fam = kind.family
-    seen: set[tuple[int, int]] = set()
     for i in range(N):
         for j in range(N):
             if not keep(i, j):
                 continue
             if fam != "A":
-                if (i, j) in seen:
-                    continue
                 pi, pj = N - 1 - j, N - 1 - i
-                seen.add((pi, pj))
+                if (pi, pj) < (i, j):  # the mirror came first and yielded both
+                    continue
                 if (i, j) != (pi, pj):
                     v = -(_sign(N, i) * _sign(N, j)) if fam == "C" else -1
                     yield ((i, j, 1), (pi, pj, v))
@@ -252,19 +250,22 @@ def generic_nilradical_element(b: BlockVector, seed: int) -> ExactMatrix:
 
 
 def jordan_partition(x: ExactMatrix) -> tuple[int, ...]:
-    """Jordan type of a nilpotent matrix from exact kernel dimensions of powers."""
+    """Jordan type of a nilpotent matrix from the exact ranks of its powers.
+
+    X has rank X^(k-1) - rank X^k Jordan blocks of size >= k, so the rank
+    drops are the transposed Jordan type.
+    """
     if x.rows != x.cols:
         raise ValueError("square matrix required")
-    n = x.rows
-    kdims = [0]
+    ranks = [x.rows]
     power = x
-    for k in range(n):
+    for k in range(x.rows):
         if k:
             power = power @ x
-        kdims.append(n - power.rank())
-        if kdims[-1] == n:
-            return partition_from_kernel_dims(kdims)
-    raise NotNilpotentError(f"kernel dimensions stalled at {kdims[-1]} < {n}")
+        ranks.append(power.rank())
+        if ranks[-1] == 0:
+            return transpose([a - b for a, b in zip(ranks, ranks[1:])])
+    raise NotNilpotentError(f"rank of the powers stalled at {ranks[-1]} > 0")
 
 
 def certified_centralizer_dim(

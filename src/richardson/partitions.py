@@ -12,20 +12,9 @@ so the answer does not depend on the block order.
 
 from __future__ import annotations
 
-import operator
-from typing import Sequence
+from .core import BlockVector
 
-from .core import BlockVector, InvariantError, check_partition
-
-__all__ = [
-    "InvalidKernelProfileError",
-    "richardson_partition",
-    "partition_from_kernel_dims",
-]
-
-
-class InvalidKernelProfileError(ValueError):
-    """Kernel-dimension sequence cannot come from powers of a nilpotent map."""
+__all__ = ["richardson_partition"]
 
 
 def richardson_partition(b: BlockVector) -> tuple[int, ...]:
@@ -60,29 +49,3 @@ def richardson_partition(b: BlockVector) -> tuple[int, ...]:
             lam.append(1)
         else:
             lam[j] += 1
-
-
-def partition_from_kernel_dims(kdims: Sequence[int]) -> tuple[int, ...]:
-    """Jordan partition from (dim ker X^0, dim ker X^1, ..., dim ker X^m = N).
-
-    The multiplicity of part j is 2*k_j - k_{j-1} - k_{j+1} (with the profile
-    constant after index m); validity requires the profile to be weakly
-    increasing with weakly decreasing increments.
-    """
-    k = [operator.index(x) for x in kdims]
-    if not k or k[0] != 0:
-        raise InvalidKernelProfileError("profile must start at dim ker X^0 = 0")
-    diffs = [k[i + 1] - k[i] for i in range(len(k) - 1)]
-    if any(x < 0 for x in diffs):
-        raise InvalidKernelProfileError(f"profile must be weakly increasing, got {k}")
-    if any(diffs[i] < diffs[i + 1] for i in range(len(diffs) - 1)):
-        raise InvalidKernelProfileError(f"profile increments must be weakly decreasing, got {k}")
-    m = len(k) - 1
-    parts: list[int] = []
-    for j in range(1, m + 1):
-        nxt = k[j + 1] if j + 1 <= m else k[m]
-        parts += [j] * (2 * k[j] - k[j - 1] - nxt)
-    lam = tuple(sorted(parts, reverse=True))
-    if sum(lam) != k[-1]:
-        raise InvariantError(f"parts {lam} do not sum to dim ker X^m = {k[-1]} for profile {k}")
-    return check_partition(lam)

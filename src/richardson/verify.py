@@ -66,7 +66,7 @@ def run_verification(
         problems: list[str] = []
         lam = richardson_partition(b)
         bir_blocks = is_birational_by_blocks(b)
-        bir_part = is_birational_by_partition(b.kind, b, lam)
+        bir_part = is_birational_by_partition(b, lam)
         if bir_blocks != bir_part:
             problems.append(
                 f"block criteria say birational={bir_blocks} but the partition test says {bir_part}"

@@ -111,7 +111,7 @@ def test_criterion_5_blocks_vs_partition_consistency():
             if not is_nice(b):
                 continue
             lam = richardson_partition(b)
-            assert is_birational_by_blocks(b) == is_birational_by_partition(kind, b, lam), (
+            assert is_birational_by_blocks(b) == is_birational_by_partition(b, lam), (
                 kind.name,
                 b.d,
                 b.central,

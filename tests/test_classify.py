@@ -71,16 +71,16 @@ class TestBirationalByBlocks:
 
 class TestBirationalByPartition:
     def test_examples(self):
-        assert is_birational_by_partition(LieKind("B", 3), bv("B3", (2,), 3), (3, 3, 1))
-        assert not is_birational_by_partition(LieKind("C", 2), bv("C2", (1,), 2), (2, 2))
-        assert is_birational_by_partition(LieKind("D", 5), bv("D5", (1, 4)), (3, 3, 2, 2))
+        assert is_birational_by_partition(bv("B3", (2,), 3), (3, 3, 1))
+        assert not is_birational_by_partition(bv("C2", (1,), 2), (2, 2))
+        assert is_birational_by_partition(bv("D5", (1, 4)), (3, 3, 2, 2))
 
     def test_size_mismatch(self):
         with pytest.raises(PartitionMismatchError):
-            is_birational_by_partition(LieKind("B", 3), bv("B3", (2,), 3), (3, 3))
+            is_birational_by_partition(bv("B3", (2,), 3), (3, 3))
 
     def test_type_a_always(self):
-        assert is_birational_by_partition(LieKind("A", 3), bv("A3", (2, 1, 1)), (2, 1, 1))
+        assert is_birational_by_partition(bv("A3", (2, 1, 1)), (2, 1, 1))
 
     def test_consistency_with_blocks_up_to_14(self):
         # the two routes agree on every nice B/C/D vector
@@ -90,7 +90,7 @@ class TestBirationalByPartition:
                 if not is_nice(b):
                     continue
                 lam = richardson_partition(b)
-                assert is_birational_by_partition(kind, b, lam) == is_birational_by_blocks(b), (
+                assert is_birational_by_partition(b, lam) == is_birational_by_blocks(b), (
                     kind.name,
                     b.d,
                     b.central,
@@ -226,7 +226,7 @@ class TestClassify:
         r = classify(b)
         assert (r.nice, r.birational, r.sl2_given, r.normal) == (True, False, False, OUT_OF_SCOPE)
         assert r.partition == (4, 4, 3, 3)
-        assert is_birational_by_partition(b.kind, b, r.partition) is False
+        assert is_birational_by_partition(b, r.partition) is False
 
     def test_type_a_birational_field_always_true(self):
         for kind in classical_kinds_up_to(("A",), 10):
@@ -249,7 +249,7 @@ class TestClassify:
         r = classify(b, with_oracle=True)
         assert r.partition is not None
         assert sum(r.partition) == 6
-        assert is_birational_by_partition(b.kind, b, r.partition) is False
+        assert is_birational_by_partition(b, r.partition) is False
 
     def test_oracle_referees_the_closed_form(self, monkeypatch):
         # with_oracle also runs the oracle where the closed form applies, and

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from richardson import core
+from richardson import core, exceptional
 from richardson.classify import OUT_OF_SCOPE, ClassificationReport
 from richardson.core import Coloring, InvariantError, LieKind, UnsupportedKindError, all_colorings
 from richardson.exceptional import (
@@ -44,8 +44,22 @@ class TestRootSystems:
     )
     def test_highest_root(self, name, highest):
         rs = root_system(kind(name))
-        assert rs.highest_root == highest
+        assert max(rs.positive_roots, key=sum) == highest
         assert sum(1 for r in rs.positive_roots if sum(r) == sum(highest)) == 1
+
+    @pytest.mark.parametrize("name", EXC)
+    def test_simple_reflections_permute_other_positive_roots(self, name):
+        # s_i maps the positive roots other than alpha_i onto themselves; a
+        # wrong root with the right count breaks this
+        rs = root_system(kind(name))
+        cartan = exceptional._CARTAN[name]
+        roots = set(rs.positive_roots)
+        for i, row in enumerate(cartan):
+            alpha = tuple(int(j == i) for j in range(len(row)))
+            for beta in roots - {alpha}:
+                pairing = sum(c * a for c, a in zip(beta, row))
+                image = beta[:i] + (beta[i] - pairing,) + beta[i + 1 :]
+                assert image in roots, (name, i, beta, image)
 
     def test_roots_distinct_positive(self):
         rs = root_system(kind("F4"))

@@ -209,6 +209,9 @@ class TestJordan:
     def test_not_nilpotent(self):
         with pytest.raises(NotNilpotentError):
             jordan_partition(identity(3))
+        # the rank of the powers stalls at 1, above 0
+        with pytest.raises(NotNilpotentError, match="stalled at 1"):
+            jordan_partition(direct_sum(jordan_block(2), identity(1)))
 
     def test_c3_generic(self):
         lam = oracle_richardson_partition(BlockVector(LieKind("C", 3), (2,), 2), trials=3)

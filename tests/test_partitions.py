@@ -1,15 +1,8 @@
-import builtins
-
 import pytest
 
-from richardson import partitions
 from richardson.classify import is_nice
 from richardson.core import BlockVector, InvariantError, LieKind, all_block_vectors, n_odd, transpose
-from richardson.partitions import (
-    InvalidKernelProfileError,
-    partition_from_kernel_dims,
-    richardson_partition,
-)
+from richardson.partitions import richardson_partition
 from richardson.verify import classical_kinds_up_to
 
 import reference
@@ -193,35 +186,3 @@ class TestRankAndKernel:
     def test_refuses_even_blocks(self):
         with pytest.raises(FormulaDomainError):
             rank_and_kernel(BlockVector(LieKind("C", 2), (2,), None))
-
-
-class TestKernelProfile:
-    def test_zero_map(self):
-        assert partition_from_kernel_dims((0, 4)) == (1, 1, 1, 1)
-
-    def test_regular(self):
-        assert partition_from_kernel_dims((0, 1, 2, 3, 4)) == (4,)
-
-    def test_two_blocks(self):
-        assert partition_from_kernel_dims((0, 2, 4)) == (2, 2)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidKernelProfileError):
-            partition_from_kernel_dims((1, 2))
-        with pytest.raises(InvalidKernelProfileError):
-            partition_from_kernel_dims((0, 3, 2))
-        with pytest.raises(InvalidKernelProfileError):
-            partition_from_kernel_dims((0, 1, 3))  # increments increase
-
-    def test_non_integer_profile_rejected(self):
-        with pytest.raises(TypeError):
-            partition_from_kernel_dims([0, 2.0, 3.0])
-
-    def test_lost_part_raises_invariant_error(self, monkeypatch):
-        # drop the largest part after sorting; the parts no longer sum to dim ker
-        monkeypatch.setattr(
-            partitions, "sorted", lambda xs, reverse: builtins.sorted(xs, reverse=reverse)[1:],
-            raising=False,
-        )
-        with pytest.raises(InvariantError, match="dim ker X\\^m = 4"):
-            partition_from_kernel_dims((0, 2, 4))

@@ -144,14 +144,22 @@ def test_no_unreferenced_private_helpers():
 
 
 def test_dataclass_fields_are_read():
-    # a field that no library module reads is a dead field: every dataclass
-    # field in the library is loaded as an attribute somewhere in it
-    def is_dataclass(cls):
-        for dec in cls.decorator_list:
+    # a field or property that no library module reads is dead: every
+    # dataclass field, @property and @cached_property in the library is
+    # loaded as an attribute somewhere in it
+    def decorated(node, names):
+        for dec in node.decorator_list:
             target = dec.func if isinstance(dec, ast.Call) else dec
-            if isinstance(target, ast.Name) and target.id == "dataclass":
+            if isinstance(target, ast.Name) and target.id in names:
                 return True
         return False
+
+    def member(stmt):
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            return stmt.target.id
+        if isinstance(stmt, ast.FunctionDef) and decorated(stmt, {"property", "cached_property"}):
+            return stmt.name
+        return None
 
     trees = [
         (path.name, ast.parse(path.read_text(), filename=str(path)))
@@ -163,18 +171,19 @@ def test_dataclass_fields_are_read():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    fields = [
-        (name, cls, stmt)
+    members = [
+        (name, cls, stmt, member(stmt))
         for name, tree in trees
         for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+        if isinstance(cls, ast.ClassDef) and decorated(cls, {"dataclass"})
         for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        if member(stmt)
     ]
-    assert len(fields) > 10
+    assert len(members) > 10
+    assert any(isinstance(stmt, ast.FunctionDef) for _, _, stmt, _ in members)
     unread = [
-        f"{name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
-        for name, cls, stmt in fields
-        if stmt.target.id not in loaded
+        f"{name}:{stmt.lineno} {cls.name}.{attr}"
+        for name, cls, stmt, attr in members
+        if attr not in loaded
     ]
-    assert unread == [], f"dataclass fields no library module reads: {unread}"
+    assert unread == [], f"dataclass members no library module reads: {unread}"
