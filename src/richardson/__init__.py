@@ -35,7 +35,6 @@ from .core import (
     blocks_from_coloring,
     coloring_from_blocks,
     n_odd,
-    parity_descents,
     transpose,
 )
 from .exceptional import (

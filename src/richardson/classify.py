@@ -23,7 +23,6 @@ from .core import (
     is_palindromic,
     is_unimodal,
     n_odd,
-    parity_descents,
 )
 from .partitions import richardson_partition
 
@@ -110,7 +109,7 @@ def is_birational_by_partition(b: BlockVector, lam) -> bool:
 
     Odd blocks: the number of odd parts equals the central block size.
     Even blocks: no odd parts (Sp), or for SO either no odd parts and no
-    internal odd descent, or exactly two odd parts with one.
+    odd part above a smaller part, or exactly two odd parts with one such.
     """
     lam = tuple(lam)
     if sum(lam) != b.N:
@@ -122,8 +121,7 @@ def is_birational_by_partition(b: BlockVector, lam) -> bool:
         return n_odd(lam) == c
     if b.kind.family == "C":
         return n_odd(lam) == 0
-    drops = parity_descents(lam, 0)
-    if drops:
+    if any(p > q and p % 2 for p, q in zip(lam, lam[1:])):
         return n_odd(lam) == 2
     return n_odd(lam) == 0
 

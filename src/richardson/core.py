@@ -43,14 +43,12 @@ __all__ = [
     "check_partition",
     "transpose",
     "n_odd",
-    "parity_descents",
     "is_unimodal",
     "is_palindromic",
     "blocks_from_coloring",
     "coloring_from_blocks",
     "all_colorings",
     "all_block_vectors",
-    "partitions_of",
 ]
 
 
@@ -213,7 +211,7 @@ class BlockVector:
                 raise DescriptorError(f"type B always has an odd positive central block, got {c}")
         elif c is not None and (c < 2 or c % 2):
             raise DescriptorError(f"type {fam} central block must be even and positive, got {c}")
-        if fam == "D" and c is None and (not d or d[-1] < 2):
+        if fam == "D" and c is None and d[-1] < 2:
             # (…,1,1,…) around the middle names the same subalgebra as a
             # central so_2 block and never arises from a coloring.
             raise DescriptorError("type D without central block needs innermost block size >= 2")
@@ -260,20 +258,6 @@ def n_odd(p: Sequence[int]) -> int:
     return sum(x % 2 for x in check_partition(p))
 
 
-def parity_descents(p: Sequence[int], epsilon: int) -> set[int]:
-    """Indices j with p_j > p_{j+1} and p_j of parity opposite to epsilon.
-
-    Only descents between two actual parts count; the trailing drop of the
-    last part to zero does not (the stabilizer criteria that consume this
-    set distinguish exactly those internal descents).  Indices are 1-based.
-    epsilon = 1 for the symplectic family, 0 for the orthogonal ones.
-    """
-    if epsilon not in (0, 1):
-        raise DescriptorError(f"epsilon must be 0 or 1, got {epsilon}")
-    p = check_partition(p)
-    return {j for j in range(1, len(p)) if p[j - 1] > p[j] and p[j - 1] % 2 != epsilon}
-
-
 def is_unimodal(seq: Sequence[int]) -> bool:
     """True if seq rises (weakly) to a peak and then falls (weakly)."""
     falling = False
@@ -298,11 +282,10 @@ def blocks_from_coloring(c: Coloring) -> BlockVector:
 
     Crossing node i cuts the diagonal after position i (mirrored in B/C/D);
     in B/C/D the last node decides the middle, see the module docstring.
-    Type D colorings are canonicalized first.
+    Type D colorings are canonicalized first; :class:`BlockVector` refuses
+    an exceptional kind.
     """
     kind = c.kind
-    if not kind.is_classical:
-        raise UnsupportedKindError(f"{kind.name} has no matrix block description")
     u = c.canonical().u
     n, fam = kind.rank, kind.family
     central = None
@@ -334,17 +317,6 @@ def coloring_from_blocks(b: BlockVector) -> Coloring:
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-
-def partitions_of(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of ``total``, parts weakly decreasing."""
-    if total == 0:
-        yield ()
-        return
-    cap = total if max_part is None else min(max_part, total)
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(total - first, first):
-            yield (first,) + rest
 
 
 def all_colorings(kind: LieKind) -> Iterator[Coloring]:

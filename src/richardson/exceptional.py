@@ -1,25 +1,27 @@
-"""Exceptional types: root systems from Cartan matrices, grading dimensions,
-and the classification data for G2, F4, E6, E7, E8.
+"""Exceptional types: positive roots from Cartan matrices, grading
+dimensions, and the classification data for G2, F4, E6, E7, E8.
 
 Which exceptional parabolics carry a Richardson element in the first graded
 part (and whether its stabilizers in P and G agree) is not recomputed from
 scratch; it is encoded data, checked against the graded dimensions where
-reference values exist.  Orbit dimensions are always computed from the root
-system as dim g - dim g_0.  The positive roots are the closure of the simple
-roots under the simple reflections s_i(beta) = beta - <beta, alpha_i^vee>
-alpha_i, taken wherever the pairing is negative.
+reference values exist.  Two tables hold it: the appendix of nice and
+birational colorings, and ``NON_SL2_ORBITS``, the labelled nice colorings no
+sl2-triple induces.  A coloring is nice iff it is in one of them, since an
+sl2-given one is birational (for a triple (e, h, f), G^e lies in the
+parabolic of h).  Orbit dimensions are always computed from the root system
+as dim g - dim g_0.  The positive roots are the closure of the simple roots
+under the simple reflections s_i(beta) = beta - <beta, alpha_i^vee> alpha_i,
+taken wherever the pairing is negative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .classify import ClassificationReport
 from .core import Coloring, InvariantError, LieKind, UnsupportedKindError
 
 __all__ = [
-    "RootSystem",
     "root_system",
     "grading_dims",
     "orbit_dim",
@@ -27,7 +29,6 @@ __all__ = [
     "appendix_colorings",
     "appendix_records",
     "NON_SL2_ORBITS",
-    "E7_NON_BIRATIONAL",
 ]
 
 # Cartan matrices, Bourbaki numbering; row i holds the pairings <alpha_j, alpha_i^vee>.
@@ -58,14 +59,6 @@ for _rank in (6, 7, 8):
         _rank, tuple(e for e in _E_EDGES if max(e) <= _rank)
     )
 
-@dataclass(frozen=True)
-class RootSystem:
-    """Positive roots of an exceptional type, as coefficient vectors over
-    the simple roots."""
-
-    kind: LieKind
-    positive_roots: tuple[tuple[int, ...], ...]
-
 
 def _close_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Positive roots by reflection closure from the simple roots.
@@ -92,7 +85,9 @@ def _close_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[in
 
 
 @lru_cache(maxsize=None)
-def root_system(kind: LieKind) -> RootSystem:
+def root_system(kind: LieKind) -> tuple[tuple[int, ...], ...]:
+    """Positive roots of an exceptional type, as coefficient vectors over
+    the simple roots, ordered by height."""
     if not kind.is_exceptional:
         raise UnsupportedKindError(f"root systems here are exceptional-only, got {kind.name}")
     pos = _close_positive_roots(_CARTAN[kind.name])
@@ -101,14 +96,14 @@ def root_system(kind: LieKind) -> RootSystem:
         raise InvariantError(
             f"{kind.name}: closure found {len(pos)} positive roots, expected {expected}"
         )
-    return RootSystem(kind, pos)
+    return pos
 
 
 def grading_dims(coloring: Coloring) -> dict[int, int]:
     """Dimensions of the graded pieces g_i for the grading alpha_i(H) = u_i."""
     u = coloring.u
     counts: dict[int, int] = {}
-    for root in root_system(coloring.kind).positive_roots:
+    for root in root_system(coloring.kind):
         g = sum(c * x for c, x in zip(root, u))
         counts[g] = counts.get(g, 0) + 1
     dims = {0: coloring.kind.rank + 2 * counts.get(0, 0)}
@@ -249,16 +244,11 @@ _APPENDIX = {
     "E8": _E8_TABLE,
 }
 
-# E7 parabolics with a Richardson element in the first graded part whose
-# stabilizer in G is strictly larger than in P.
-E7_NON_BIRATIONAL = (
-    (1, 1, 0, 0, 0, 0, 1),
-    (0, 0, 1, 0, 0, 0, 1),
-    (0, 0, 0, 0, 1, 0, 1),
-)
-
 # Parabolics with a Richardson element in the first graded part that are not
 # induced by an sl2-triple, with the Bala-Carter label of the Richardson orbit.
+# An sl2-induced nice parabolic is birational (G^e lies in the parabolic of h),
+# so the nice colorings are exactly the appendix rows and these keys; the
+# three E7 keys outside the appendix are the nice ones that are not birational.
 NON_SL2_ORBITS = {
     ("E7", (1, 1, 0, 0, 1, 0, 1)): "D_6",
     ("E7", (1, 1, 0, 0, 0, 0, 1)): "D_5(a_1)",
@@ -287,8 +277,8 @@ def exceptional_lookup(coloring: Coloring) -> ClassificationReport:
         raise UnsupportedKindError(f"exceptional lookup on classical kind {kind.name}")
     u = coloring.u
     birational = u in _APPENDIX[kind.name]
-    nice = birational or (kind.name == "E7" and u in E7_NON_BIRATIONAL)
     label = NON_SL2_ORBITS.get((kind.name, u))
+    nice = birational or label is not None
     return ClassificationReport(
         kind=kind,
         blocks=None,

@@ -14,7 +14,9 @@ hold the library's one path against it:
   the order-blind :func:`richardson.classify.is_nice` holds, against the one
   induction formula :func:`richardson.partitions.richardson_partition`;
 * :func:`so_even_single_odd_partition` and :func:`rank_and_kernel` are
-  explicit partition formulas on parts of that domain.
+  explicit partition formulas on parts of that domain;
+* :func:`partitions_of` lists every partition of a size, for the sweeps
+  over partition operations.
 
 The library's :class:`~richardson.oracle.ExactMatrix` only multiplies and
 ranks; the small matrix helpers the tests need besides (:func:`zeros`,
@@ -24,7 +26,7 @@ ranks; the small matrix helpers the tests need besides (:func:`zeros`,
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from richardson.classify import is_nice
 from richardson.core import (
@@ -362,3 +364,14 @@ def rank_and_kernel(b: BlockVector) -> tuple[int, int]:
     if s:
         rank += 2 * min(s[-1], c)
     return rank, b.N - rank
+
+
+def partitions_of(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All partitions of ``total``, parts weakly decreasing."""
+    if total == 0:
+        yield ()
+        return
+    cap = total if max_part is None else min(max_part, total)
+    for first in range(cap, 0, -1):
+        for rest in partitions_of(total - first, first):
+            yield (first,) + rest

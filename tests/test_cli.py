@@ -13,7 +13,7 @@ import pytest
 import richardson
 from richardson import cli
 from richardson.cli import RECORD_KEYS, main, record_schema
-from richardson.core import LieKind, all_block_vectors
+from richardson.core import LieKind, all_block_vectors, all_colorings, blocks_from_coloring
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +122,45 @@ class TestClassify:
             assert code == 2, coloring
             assert "error: cannot parse coloring" in err, coloring
 
+    @pytest.mark.parametrize("name", ["B3", "C3", "D4"])
+    def test_coloring_record_equals_blocks_record(self, capsys, name):
+        # both descriptors name one parabolic, so they give one record
+        for c in all_colorings(LieKind.parse(name)):
+            if c.canonical() != c:
+                continue
+            b = blocks_from_coloring(c)
+            coloring = ",".join(map(str, c.u))
+            blocks = ["--blocks", ",".join(map(str, b.d))]
+            if b.central is not None:
+                blocks += ["--central", str(b.central)]
+            code, by_coloring, _ = run_cli(
+                capsys, "classify", "--kind", name, "--coloring", coloring, "--format", "json"
+            )
+            assert code == 0, coloring
+            code, by_blocks, _ = run_cli(capsys, "classify", "--kind", name, *blocks, "--format", "json")
+            assert code == 0, blocks
+            assert json.loads(by_coloring) == json.loads(by_blocks), coloring
+
+    def test_diagnostic_note_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--kind", "C2", "--blocks", "1", "--central", "2")
+        assert code == 0
+        assert err.startswith("note: covering-degree formula evaluates to 1 ")
+        assert "covering_degree: -" in out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--blocks", "1", "--coloring", "1,0,0"), "give either --blocks or --coloring, not both"),
+            (("--central", "2"), "--central only makes sense together with --blocks"),
+            ((), "one of --blocks or --coloring is required"),
+        ],
+        ids=["blocks-and-coloring", "central-alone", "no-descriptor"],
+    )
+    def test_descriptor_usage_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "classify", "--kind", "C3", *argv)
+        assert code == 2 and out == ""
+        assert f"error: {message}" in err
+
     def test_csv_roundtrip(self, capsys):
         code, out, _ = run_cli(
             capsys, "classify", "--kind", "D5", "--blocks", "1,4", "--format", "csv"
@@ -203,6 +242,9 @@ class TestEnumerate:
         assert run_cli(capsys, "enumerate", "--kind", "C3", "--rank", "2")[0] == 2
         assert run_cli(capsys, "enumerate", "--kind", "G2", "--rank", "5")[0] == 2
         assert run_cli(capsys, "enumerate", "--kind", "E8", "--max-rank", "8")[0] == 2
+        code, out, err = run_cli(capsys, "enumerate", "--kind", "D", "--max-rank", "2")
+        assert code == 2 and out == ""
+        assert "error: rank 2 is below the minimum rank for D" in err
 
     @pytest.mark.parametrize(
         "base",
@@ -450,3 +492,10 @@ class TestExport:
 
     def test_bad_kind(self, capsys, tmp_path):
         assert run_cli(capsys, "export", "--kind", "A3", "--out", str(tmp_path / "x"))[0] == 2
+
+    def test_missing_directory_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "g2.json"
+        code, out, err = run_cli(capsys, "export", "--kind", "G2", "--out", str(target))
+        assert code == 2 and out == ""
+        assert f"error: cannot write {target}" in err
+        assert not target.parent.exists()

