@@ -74,12 +74,6 @@ class TestBirationalByPartition:
         assert is_birational_by_partition(bv("B3", (2,), 3), (3, 3, 1))
         assert not is_birational_by_partition(bv("C2", (1,), 2), (2, 2))
         assert is_birational_by_partition(bv("D5", (1, 4)), (3, 3, 2, 2))
-        # even SO: an odd part above a smaller part allows exactly two odd
-        # parts; trailing odd parts are no such descent, so they allow none
-        assert is_birational_by_partition(bv("D5", (5,)), (3, 3, 2, 2))
-        assert not is_birational_by_partition(bv("D7", (7,)), (4, 4, 3, 3))
-        assert not is_birational_by_partition(bv("D3", (3,)), (2, 2, 1, 1))
-        assert is_birational_by_partition(bv("D4", (4,)), (4, 4))
 
     def test_size_mismatch(self):
         with pytest.raises(PartitionMismatchError):

@@ -1,6 +1,7 @@
 
 import pytest
 
+from richardson.classify import is_birational_by_partition
 from richardson.core import (
     BlockVector,
     Coloring,
@@ -91,6 +92,18 @@ class TestPartitionOps:
             for p in partitions_of(size):
                 evens = sum(1 for x in p if x % 2 == 0)
                 assert n_odd(p) + evens == len(p)
+
+    def test_parity_descents(self):
+        # even SO without central block: an odd part above a smaller part
+        # allows exactly two odd parts; trailing odd parts are no such
+        # descent, so they allow none
+        def birational(n, lam):
+            return is_birational_by_partition(BlockVector(LieKind("D", n), (n,)), lam)
+
+        assert birational(5, (3, 3, 2, 2))
+        assert not birational(7, (4, 4, 3, 3))
+        assert not birational(3, (2, 2, 1, 1))
+        assert birational(4, (4, 4))
 
     def test_invalid_partition(self):
         with pytest.raises(DescriptorError):
