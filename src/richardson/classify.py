@@ -19,6 +19,7 @@ from . import oracle  # read at call time, so a replaced oracle function is the 
 from .core import (
     BlockVector,
     Coloring,
+    DescriptorError,
     LieKind,
     is_palindromic,
     is_unimodal,
@@ -30,7 +31,6 @@ __all__ = [
     "NORMAL",
     "NOT_NORMAL",
     "OUT_OF_SCOPE",
-    "PartitionMismatchError",
     "is_nice",
     "is_birational_by_blocks",
     "is_birational_by_partition",
@@ -38,16 +38,13 @@ __all__ = [
     "normal_closure",
     "covering_degree",
     "ClassificationReport",
+    "cross_check",
     "classify",
 ]
 
 NORMAL = "normal"
 NOT_NORMAL = "not_normal"
 OUT_OF_SCOPE = "out_of_scope"
-
-
-class PartitionMismatchError(ValueError):
-    """Partition size does not match the matrix size of the block vector."""
 
 
 def _odd_values_once(s: tuple[int, ...]) -> bool:
@@ -113,7 +110,7 @@ def is_birational_by_partition(b: BlockVector, lam) -> bool:
     """
     lam = tuple(lam)
     if sum(lam) != b.N:
-        raise PartitionMismatchError(f"partition sums to {sum(lam)}, expected {b.N}")
+        raise DescriptorError(f"partition sums to {sum(lam)}, expected {b.N}")
     if b.kind.family == "A":
         return True
     c = b.central
@@ -239,6 +236,27 @@ class ClassificationReport:
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 
+def cross_check(
+    b: BlockVector, lam: tuple[int, ...] | None, certified: tuple[int, ...] | None
+) -> list[str]:
+    """Disagreements on one classical vector: a certified oracle partition
+    that differs from ``lam``, and on B/C/D a stabilizer test on ``lam``
+    that differs from the block criteria.  Each message names both values.
+    """
+    notes = []
+    if certified is not None and certified != lam:
+        notes.append(f"closed form {lam} != certified oracle {certified}")
+    if lam is not None and b.kind.family != "A":
+        by_partition = is_birational_by_partition(b, lam)
+        by_blocks = is_birational_by_blocks(b)
+        if by_partition != by_blocks:
+            notes.append(
+                f"stabilizer test on {lam} says birational={by_partition}, "
+                f"the block criteria say {by_blocks}"
+            )
+    return notes
+
+
 def classify(
     b: BlockVector,
     coloring: Coloring | None = None,
@@ -251,32 +269,18 @@ def classify(
     The partition is the induction formula on all of type A and on nice
     B/C/D.  On non-nice B/C/D it is the matrix oracle's on request, and it
     stays None when no oracle sample is certified generic.  Where the
-    formula applies, ``with_oracle`` runs the oracle as a referee and notes
-    a certified value that differs.  On B/C/D the stabilizer test on the
-    partition cross-checks the block criteria, and a disagreement is noted in
-    ``diagnostics``.
+    formula applies, ``with_oracle`` runs the oracle as a referee.  The
+    disagreements :func:`cross_check` finds go into ``diagnostics``.
     """
     kind = b.kind
     nice = is_nice(b)
-    bir_blocks = is_birational_by_blocks(b)
-    birational = True if kind.family == "A" else bir_blocks
-    diagnostics: list[str] = []
-
     partition = richardson_partition(b) if kind.family == "A" or nice else None
+    certified = None
     if with_oracle:
         certified = oracle.oracle_richardson_partition(b, trials=trials, base_seed=seed)
         if partition is None:
             partition = certified
-        elif certified is not None and certified != partition:
-            diagnostics.append(f"closed form {partition} != certified oracle {certified}")
-
-    if partition is not None and kind.family != "A":
-        if is_birational_by_partition(b, partition) != bir_blocks:
-            diagnostics.append(
-                "stabilizer test on the computed partition disagrees with the "
-                "block criteria (expected for non-nice inputs, where the block "
-                "route answers nice-and-birational)"
-            )
+    diagnostics = cross_check(b, partition, certified)
 
     degree, note = _covering_degree_note(b)
     if note:
@@ -287,7 +291,7 @@ def classify(
         blocks=b,
         coloring=coloring,
         nice=nice,
-        birational=birational,
+        birational=kind.family == "A" or is_birational_by_blocks(b),
         sl2_given=is_sl2_given(b),
         normal=normal_closure(b),
         partition=partition,

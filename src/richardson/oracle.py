@@ -38,7 +38,6 @@ from .core import (
 __all__ = [
     "ExactMatrix",
     "NotNilpotentError",
-    "CertificateError",
     "MatrixRealization",
     "realization",
     "nilradical_basis",
@@ -53,10 +52,6 @@ COEFF_RANGE = (1, 10**6)
 
 class NotNilpotentError(ValueError):
     """Matrix fed to a Jordan-type computation is not nilpotent."""
-
-
-class CertificateError(RuntimeError):
-    """A centralizer dimension fell below its proven lower bound."""
 
 
 class ExactMatrix:
@@ -279,7 +274,7 @@ def certified_centralizer_dim(
     sum (lam^T_i)^2 + #odd parts; so, half of sum (lam^T_i)^2 - #odd parts.
     ``lower_bound`` must be a proven lower bound for dim g^X (dim m works for
     any X in the nilradical); the sample is certified generic iff the value
-    meets it.  A value below the bound raises :class:`CertificateError`.
+    meets it.  A value below the bound raises :class:`InvariantError`.
     """
     squares = sum(c * c for c in transpose(lam))
     if kind.family == "A":
@@ -291,7 +286,7 @@ def certified_centralizer_dim(
     else:
         raise UnsupportedKindError(f"no Jordan-type centralizer formula for {kind.name}")
     if dim < lower_bound:
-        raise CertificateError(
+        raise InvariantError(
             f"centralizer dimension {dim} of Jordan type {tuple(lam)} in {kind.name} "
             f"is below the proven lower bound {lower_bound}"
         )

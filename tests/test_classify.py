@@ -6,7 +6,6 @@ from richardson.classify import (
     NORMAL,
     NOT_NORMAL,
     OUT_OF_SCOPE,
-    PartitionMismatchError,
     classify,
     covering_degree,
     is_birational_by_blocks,
@@ -16,7 +15,7 @@ from richardson.classify import (
     normal_closure,
 )
 from richardson import oracle
-from richardson.core import BlockVector, LieKind, all_block_vectors
+from richardson.core import BlockVector, DescriptorError, LieKind, all_block_vectors
 from richardson.oracle import levi_dim
 from richardson.partitions import richardson_partition
 from richardson.verify import classical_kinds_up_to
@@ -76,7 +75,7 @@ class TestBirationalByPartition:
         assert is_birational_by_partition(bv("D5", (1, 4)), (3, 3, 2, 2))
 
     def test_size_mismatch(self):
-        with pytest.raises(PartitionMismatchError):
+        with pytest.raises(DescriptorError):
             is_birational_by_partition(bv("B3", (2,), 3), (3, 3))
 
     def test_type_a_always(self):

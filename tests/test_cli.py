@@ -147,6 +147,18 @@ class TestClassify:
         assert err.startswith("note: covering-degree formula evaluates to 1 ")
         assert "covering_degree: -" in out
 
+    def test_oracle_note_names_both_answers(self, capsys):
+        # B3 (3,) with centre 1 is not nice: the oracle gives the partition,
+        # and the stabilizer test on it says birational where the blocks do not
+        argv = ("classify", "--kind", "B3", "--blocks", "3", "--central", "1", "--with-oracle")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert err == (
+            "note: stabilizer test on (3, 2, 2) says birational=True, "
+            "the block criteria say False\n"
+        )
+        assert "partition: 3,2,2" in out and "birational: false" in out
+
     @pytest.mark.parametrize(
         "argv,message",
         [

@@ -7,7 +7,6 @@ from richardson import oracle
 from richardson.classify import classify, is_nice
 from richardson.core import BlockVector, Coloring, InvariantError, LieKind, all_block_vectors, all_colorings, blocks_from_coloring
 from richardson.oracle import (
-    CertificateError,
     ExactMatrix,
     NotNilpotentError,
     certified_centralizer_dim,
@@ -250,7 +249,7 @@ class TestCentralizer:
     def test_below_bound_raises(self):
         b = BlockVector(LieKind("C", 3), (2,), 2)
         # the regular type (6,) has dim g^X = 3, below dim m = 7
-        with pytest.raises(CertificateError):
+        with pytest.raises(InvariantError):
             certified_centralizer_dim(b.kind, (6,), levi_dim(b))
 
     def test_formula_matches_exact_on_sparse_elements(self):
@@ -357,11 +356,25 @@ class TestOraclePartition:
         lines = []
         result = run_verification(families=("C",), max_n=4, trials=2, emit=lines.append)
         assert result.failures and len(result.failures) < result.checked
-        assert not any("!= oracle" in line for line in lines), lines
+        assert not any("!= certified oracle" in line for line in lines), lines
         assert all(
             line.startswith("PASS") or line.endswith("no sample certified generic (dim g^X != dim m)")
             for line in lines
         ), lines
+
+
+    def test_verify_and_classify_share_one_referee(self, monkeypatch):
+        # a wrong certified partition is reported in the same words by the
+        # verify sweep and by classify --with-oracle
+        from richardson.verify import run_verification
+
+        monkeypatch.setattr(oracle, "oracle_partition_detail", lambda b, trials, base_seed: (b.N,))
+        b = BlockVector(LieKind("C", 2), (2,))
+        note = f"closed form {richardson_partition(b)} != certified oracle (4,)"
+        assert classify(b, with_oracle=True).diagnostics == (note,)
+        lines = []
+        run_verification(families=("C",), max_n=4, trials=1, emit=lines.append)
+        assert f"FAIL C2 d=2 central=-: {note}" in lines, lines
 
 
 class TestOracleEquivalence:
