@@ -219,7 +219,9 @@ class ClassificationReport:
 
     ``blocks`` is None for the exceptional kinds, which have no matrix
     blocks; ``label`` is the Bala-Carter label of a Richardson orbit that
-    the exceptional tables record as not induced by an sl2-triple.
+    the exceptional tables record as not induced by an sl2-triple.  The 20
+    nice E6 colorings that the diagram flip moves are not sl2-given either,
+    and carry no label.
     """
 
     kind: LieKind

@@ -8,8 +8,10 @@ reference values exist.  Two tables hold it: the appendix of nice and
 birational colorings, and ``NON_SL2_ORBITS``, the labelled nice colorings no
 sl2-triple induces.  A coloring is nice iff it is in one of them, since an
 sl2-given one is birational (for a triple (e, h, f), G^e lies in the
-parabolic of h).  Orbit dimensions are always computed from the root system
-as dim g - dim g_0.  The positive roots are the closure of the simple roots
+parabolic of h).  A nice unlabelled coloring is sl2-given only if -w0
+fixes it, which rules out the 20 nice E6 colorings the diagram flip moves.
+Orbit dimensions are always computed from the root system as
+dim g - dim g_0.  The positive roots are the closure of the simple roots
 under the simple reflections s_i(beta) = beta - <beta, alpha_i^vee> alpha_i,
 taken wherever the pairing is negative.
 """
@@ -259,6 +261,13 @@ NON_SL2_ORBITS = {
 }
 
 
+# -w0 on the simple roots, as a permutation of the nodes: the diagram flip
+# 1<->6, 3<->5 on E6 and the identity on G2, F4, E7 and E8.  The neutral
+# element of an sl2-triple is conjugate to its negative, so its weighted
+# Dynkin diagram, 2u for an sl2-given coloring u, is fixed by -w0.
+_OPPOSITION = {"E6": (5, 1, 4, 3, 2, 0)}
+
+
 def appendix_colorings(kind: LieKind) -> tuple[Coloring, ...]:
     """The encoded birational-and-nice colorings for an exceptional kind."""
     if not kind.is_exceptional:
@@ -279,13 +288,14 @@ def exceptional_lookup(coloring: Coloring) -> ClassificationReport:
     birational = u in _APPENDIX[kind.name]
     label = NON_SL2_ORBITS.get((kind.name, u))
     nice = birational or label is not None
+    opposite = tuple(u[i] for i in _OPPOSITION.get(kind.name, range(kind.rank)))
     return ClassificationReport(
         kind=kind,
         blocks=None,
         coloring=coloring,
         nice=nice,
         birational=birational,
-        sl2_given=nice and label is None,
+        sl2_given=nice and label is None and opposite == u,
         orbit_dim=orbit_dim(coloring),
         label=label,
     )

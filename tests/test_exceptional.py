@@ -25,6 +25,30 @@ E7_NON_BIRATIONAL = (
     (0, 0, 0, 0, 1, 0, 1),
 )
 
+# the 20 nice E6 colorings that the diagram flip 1<->6, 3<->5 does not fix
+E6_FLIP_MOVED = (
+    (1, 1, 1, 0, 1, 0),
+    (1, 1, 0, 0, 1, 0),
+    (1, 1, 0, 0, 0, 0),
+    (1, 0, 1, 1, 0, 1),
+    (1, 0, 1, 0, 0, 1),
+    (1, 0, 1, 0, 0, 0),
+    (1, 0, 0, 1, 1, 1),
+    (1, 0, 0, 1, 0, 0),
+    (1, 0, 0, 0, 1, 1),
+    (1, 0, 0, 0, 1, 0),
+    (1, 0, 0, 0, 0, 0),
+    (0, 1, 1, 0, 1, 1),
+    (0, 1, 1, 0, 0, 1),
+    (0, 1, 0, 0, 0, 1),
+    (0, 0, 1, 0, 0, 1),
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 1, 0, 1),
+    (0, 0, 0, 0, 1, 1),
+    (0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 0, 1),
+)
+
 
 def kind(name):
     return LieKind.parse(name)
@@ -213,10 +237,29 @@ class TestLookup:
         assert rec.label == "D_6"
 
     def test_g2_f4_e6_sl2_equals_nice(self):
+        # sl2 == nice where -w0 is the identity (G2, F4); on E6 the diagram 2u
+        # of an sl2-given coloring must also be fixed by the flip 1<->6, 3<->5
         for name in ("G2", "F4", "E6"):
             for c in all_colorings(kind(name)):
                 rec = exceptional_lookup(c)
-                assert rec.sl2_given == rec.nice
+                u = c.u
+                flip_fixed = name != "E6" or (u[0], u[2]) == (u[5], u[4])
+                assert rec.sl2_given == (rec.nice and flip_fixed), (name, u)
+
+    def test_e6_colorings_moved_by_the_flip_are_not_sl2_given(self):
+        # the neutral element of an sl2-triple is conjugate to its negative,
+        # so its weighted Dynkin diagram is fixed by -w0, the flip on E6
+        moved = {
+            c.u
+            for c in all_colorings(kind("E6"))
+            if exceptional_lookup(c).nice and not exceptional_lookup(c).sl2_given
+        }
+        assert moved == set(E6_FLIP_MOVED)
+        for u in E6_FLIP_MOVED:
+            rec = exceptional_lookup(Coloring(kind("E6"), u))
+            assert rec.birational and rec.label is None, u
+        # 2A1: its diagram 100010 is not 2u
+        assert exceptional_lookup(Coloring(kind("E6"), (1, 0, 0, 0, 0, 0))).orbit_dim == 32
 
     def test_classical_rejected(self):
         a2 = Coloring(LieKind("A", 2), (1, 0))
