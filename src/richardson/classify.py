@@ -7,7 +7,7 @@ the Richardson orbit and its partition depend only on the multiset of block
 sizes.  Niceness does not: it is a property of the grading, which depends on
 the block order.  C3 with coloring [0,1,1] (blocks 2,1, no centre) is
 reported nice, yet its graded dimensions g_1, g_2, g_3 = 3, 2, 3 rule that
-out; making ``nice`` order-aware is ROADMAP item 2.  Type A keeps the given
+out; making ``nice`` order-aware is ROADMAP item 1.  Type A keeps the given
 block order (its criteria are genuinely order sensitive).
 """
 
@@ -219,9 +219,8 @@ class ClassificationReport:
 
     ``blocks`` is None for the exceptional kinds, which have no matrix
     blocks; ``label`` is the Bala-Carter label of a Richardson orbit that
-    the exceptional tables record as not induced by an sl2-triple.  The 20
-    nice E6 colorings that the diagram flip moves are not sl2-given either,
-    and carry no label.
+    the exceptional tables record as not induced by an sl2-triple (the 20
+    nice E6 colorings the diagram flip moves are not sl2-given but unlabelled).
     """
 
     kind: LieKind
@@ -238,9 +237,7 @@ class ClassificationReport:
     diagnostics: tuple[str, ...] = field(default_factory=tuple)
 
 
-def cross_check(
-    b: BlockVector, lam: tuple[int, ...] | None, certified: tuple[int, ...] | None
-) -> list[str]:
+def cross_check(b: BlockVector, lam, certified) -> list[str]:
     """Disagreements on one classical vector: a certified oracle partition
     that differs from ``lam``, and on B/C/D a stabilizer test on ``lam``
     that differs from the block criteria.  Each message names both values.

@@ -8,12 +8,13 @@ reference values exist.  Two tables hold it: the appendix of nice and
 birational colorings, and ``NON_SL2_ORBITS``, the labelled nice colorings no
 sl2-triple induces.  A coloring is nice iff it is in one of them, since an
 sl2-given one is birational (for a triple (e, h, f), G^e lies in the
-parabolic of h).  A nice unlabelled coloring is sl2-given only if -w0
-fixes it, which rules out the 20 nice E6 colorings the diagram flip moves.
-Orbit dimensions are always computed from the root system as
-dim g - dim g_0.  The positive roots are the closure of the simple roots
-under the simple reflections s_i(beta) = beta - <beta, alpha_i^vee> alpha_i,
-taken wherever the pairing is negative.
+parabolic of h).  An unlabelled nice coloring u is sl2-given only if -w0
+fixes it, since the neutral element of a triple, here of diagram 2u, is
+conjugate to its negative; that rules out 20 nice E6 colorings.  Orbit
+dimensions are always computed from the root system as dim g - dim g_0.
+The positive roots are the closure of the simple roots under the simple
+reflections s_i(beta) = beta - <beta, alpha_i^vee> alpha_i, taken wherever
+the pairing is negative.
 """
 
 from __future__ import annotations
@@ -261,10 +262,7 @@ NON_SL2_ORBITS = {
 }
 
 
-# -w0 on the simple roots, as a permutation of the nodes: the diagram flip
-# 1<->6, 3<->5 on E6 and the identity on G2, F4, E7 and E8.  The neutral
-# element of an sl2-triple is conjugate to its negative, so its weighted
-# Dynkin diagram, 2u for an sl2-given coloring u, is fixed by -w0.
+# -w0 as a permutation of the nodes: the flip 1<->6, 3<->5 on E6, else the identity
 _OPPOSITION = {"E6": (5, 1, 4, 3, 2, 0)}
 
 
