@@ -11,10 +11,6 @@ tables with orbit dimensions recomputed from root systems.
 """
 
 from .classify import (
-    NORMAL,
-    NOT_NORMAL,
-    OUT_OF_SCOPE,
-    ClassificationReport,
     classify,
     covering_degree,
     is_birational_by_blocks,
@@ -24,7 +20,11 @@ from .classify import (
     normal_closure,
 )
 from .core import (
+    NORMAL,
+    NOT_NORMAL,
+    OUT_OF_SCOPE,
     BlockVector,
+    ClassificationReport,
     Coloring,
     DescriptorError,
     InvariantError,

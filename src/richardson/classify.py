@@ -1,5 +1,9 @@
-"""Classification of classical parabolics: Richardson-in-g1, stabilizer
-equality, sl2 origin, normality of the orbit closure, covering degree.
+"""Classification of parabolics: Richardson-in-g1, stabilizer equality, sl2
+origin, normality of the orbit closure, covering degree.
+
+:func:`classify` takes a parabolic of any kind.  Exceptional colorings go to
+the tables of ``exceptional``; the rest of this module decides the classical
+kinds from their block vectors.
 
 All predicates on B/C/D evaluate the ascending rearrangement of the half
 block vector.  Conjugate Levi factors give conjugate Richardson elements, so
@@ -13,38 +17,34 @@ block order (its criteria are genuinely order sensitive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import oracle  # read at call time, so a replaced oracle function is the one called
 from .core import (
+    NORMAL,
+    NOT_NORMAL,
+    OUT_OF_SCOPE,
     BlockVector,
+    ClassificationReport,
     Coloring,
     DescriptorError,
-    LieKind,
+    blocks_from_coloring,
+    coloring_from_blocks,
     is_palindromic,
     is_unimodal,
     n_odd,
 )
+from .exceptional import exceptional_lookup
 from .partitions import richardson_partition
 
 __all__ = [
-    "NORMAL",
-    "NOT_NORMAL",
-    "OUT_OF_SCOPE",
     "is_nice",
     "is_birational_by_blocks",
     "is_birational_by_partition",
     "is_sl2_given",
     "normal_closure",
     "covering_degree",
-    "ClassificationReport",
     "cross_check",
     "classify",
 ]
-
-NORMAL = "normal"
-NOT_NORMAL = "not_normal"
-OUT_OF_SCOPE = "out_of_scope"
 
 
 def _odd_values_once(s: tuple[int, ...]) -> bool:
@@ -213,30 +213,6 @@ def _covering_degree_note(b: BlockVector) -> tuple[int | None, str | None]:
     return None, None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """All classification flags for one parabolic.
-
-    ``blocks`` is None for the exceptional kinds, which have no matrix
-    blocks; ``label`` is the Bala-Carter label of a Richardson orbit that
-    the exceptional tables record as not induced by an sl2-triple (the 20
-    nice E6 colorings the diagram flip moves are not sl2-given but unlabelled).
-    """
-
-    kind: LieKind
-    blocks: BlockVector | None
-    coloring: Coloring | None = None
-    nice: bool = False
-    birational: bool = False
-    sl2_given: bool = False
-    normal: str = OUT_OF_SCOPE
-    partition: tuple[int, ...] | None = None
-    orbit_dim: int | None = None
-    covering_degree: int | None = None
-    label: str | None = None
-    diagnostics: tuple[str, ...] = field(default_factory=tuple)
-
-
 def cross_check(b: BlockVector, lam, certified) -> list[str]:
     """Disagreements on one classical vector: a certified oracle partition
     that differs from ``lam``, and on B/C/D a stabilizer test on ``lam``
@@ -257,13 +233,20 @@ def cross_check(b: BlockVector, lam, certified) -> list[str]:
 
 
 def classify(
-    b: BlockVector,
-    coloring: Coloring | None = None,
+    parabolic: BlockVector | Coloring,
+    *,
     with_oracle: bool = False,
     trials: int = 3,
     seed: int = 1,
 ) -> ClassificationReport:
-    """Full classification of one classical parabolic.
+    """Full classification of one parabolic, given by a block vector or by a
+    coloring of any kind.
+
+    An exceptional coloring is looked up by :func:`exceptional_lookup`; the
+    oracle has no exceptional matrices, so ``with_oracle`` is refused there.
+    A classical coloring is kept as given and classified by the blocks
+    :func:`blocks_from_coloring` derives; a block vector is reported with
+    the canonical coloring :func:`coloring_from_blocks` derives.
 
     The partition is the induction formula on all of type A and on nice
     B/C/D.  On non-nice B/C/D it is the matrix oracle's on request, and it
@@ -271,6 +254,14 @@ def classify(
     formula applies, ``with_oracle`` runs the oracle as a referee.  The
     disagreements :func:`cross_check` finds go into ``diagnostics``.
     """
+    if isinstance(parabolic, BlockVector):
+        b, coloring = parabolic, coloring_from_blocks(parabolic)
+    elif parabolic.kind.is_exceptional:
+        if with_oracle:
+            raise DescriptorError("--with-oracle applies to classical kinds only")
+        return exceptional_lookup(parabolic)
+    else:
+        b, coloring = blocks_from_coloring(parabolic), parabolic
     kind = b.kind
     nice = is_nice(b)
     partition = richardson_partition(b) if kind.family == "A" or nice else None
@@ -286,9 +277,8 @@ def classify(
         diagnostics.append(note)
 
     return ClassificationReport(
-        kind=kind,
-        blocks=b,
         coloring=coloring,
+        blocks=b,
         nice=nice,
         birational=kind.family == "A" or is_birational_by_blocks(b),
         sl2_given=is_sl2_given(b),

@@ -26,10 +26,8 @@ from .core import (
     DescriptorError,
     LieKind,
     all_colorings,
-    blocks_from_coloring,
-    coloring_from_blocks,
 )
-from .exceptional import appendix_records, exceptional_lookup
+from .exceptional import appendix_records
 from .verify import classical_kinds_up_to, run_verification
 
 RECORD_KEYS = (
@@ -66,7 +64,7 @@ def report_to_record(report: ClassificationReport) -> dict:
     b = report.blocks
     return {
         "kind": report.kind.name,
-        "coloring": list(report.coloring.u) if report.coloring else None,
+        "coloring": list(report.coloring.u),
         "blocks": list(b.d) if b is not None else None,
         "central": b.central if b is not None else None,
         "nice": report.nice,
@@ -177,39 +175,30 @@ def _cmd_classify(args) -> int:
         raise DescriptorError("give either --blocks or --coloring, not both")
     if args.central is not None and args.blocks is None:
         raise DescriptorError("--central only makes sense together with --blocks")
-    if kind.is_exceptional:
-        if args.coloring is None:
-            raise DescriptorError(f"{kind.name} takes --coloring (no matrix blocks)")
-        if args.with_oracle:
-            raise DescriptorError("--with-oracle applies to classical kinds only")
-        report = exceptional_lookup(Coloring(kind, _parse_ints(args.coloring, "coloring")))
+    if args.coloring is not None:
+        parabolic = Coloring(kind, _parse_ints(args.coloring, "coloring"))
+    elif kind.is_exceptional:
+        raise DescriptorError(f"{kind.name} takes --coloring (no matrix blocks)")
+    elif args.blocks is not None:
+        d = _parse_ints(args.blocks, "blocks")
+        try:
+            parabolic = BlockVector(kind, d, args.central)
+        except DescriptorError as exc:
+            full_sum = sum(d) + (args.central or 0)
+            if (
+                kind.family != "A"
+                and len(d) > 1
+                and tuple(reversed(d)) == d
+                and full_sum == kind.matrix_size
+            ):
+                raise DescriptorError(
+                    f"{exc} (hint: --blocks takes only the half palindrome "
+                    "d_1,..,d_r; put the middle block in --central)"
+                ) from None
+            raise
     else:
-        if args.coloring is not None:
-            coloring = Coloring(kind, _parse_ints(args.coloring, "coloring"))
-            b = blocks_from_coloring(coloring)
-        elif args.blocks is not None:
-            d = _parse_ints(args.blocks, "blocks")
-            try:
-                b = BlockVector(kind, d, args.central)
-            except DescriptorError as exc:
-                full_sum = sum(d) + (args.central or 0)
-                if (
-                    kind.family != "A"
-                    and len(d) > 1
-                    and tuple(reversed(d)) == d
-                    and full_sum == kind.matrix_size
-                ):
-                    raise DescriptorError(
-                        f"{exc} (hint: --blocks takes only the half palindrome "
-                        "d_1,..,d_r; put the middle block in --central)"
-                    ) from None
-                raise
-            coloring = coloring_from_blocks(b)
-        else:
-            raise DescriptorError("one of --blocks or --coloring is required")
-        report = classify(
-            b, coloring=coloring, with_oracle=args.with_oracle, trials=args.trials, seed=args.seed
-        )
+        raise DescriptorError("one of --blocks or --coloring is required")
+    report = classify(parabolic, with_oracle=args.with_oracle, trials=args.trials, seed=args.seed)
     record = report_to_record(report)
     for note in report.diagnostics:
         print(f"note: {note}", file=sys.stderr)
@@ -225,10 +214,8 @@ def _iter_enumerate(args, kind: LieKind) -> Iterator[dict]:
     """One record per coloring of ``kind``, classified as it is requested;
     ``--by-blocks`` keeps only canonical colorings, one per Levi shape."""
     for coloring in all_colorings(kind):
-        if kind.is_exceptional:
-            yield report_to_record(exceptional_lookup(coloring))
-        elif not args.by_blocks or coloring.canonical() == coloring:
-            yield report_to_record(classify(blocks_from_coloring(coloring), coloring=coloring))
+        if not args.by_blocks or coloring.canonical() == coloring:
+            yield report_to_record(classify(coloring))
 
 
 def _wanted(args, r: dict) -> bool:

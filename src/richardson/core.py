@@ -4,8 +4,9 @@ A standard parabolic subalgebra is encoded either by a 0/1 coloring of the
 simple roots (entry 1 = crossed node, i.e. the root is *not* a root of the
 Levi factor) or, for the classical families, by the diagonal block sizes of
 its standard Levi factor in the defining matrix realization.  This module
-holds both descriptors, the conversion between them, and the partition
-combinatorics every classifier builds on.
+holds both descriptors, the conversion between them, the partition
+combinatorics every classifier builds on, and the report every classifier
+returns.
 
 Conventions:
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -40,6 +41,10 @@ __all__ = [
     "LieKind",
     "Coloring",
     "BlockVector",
+    "NORMAL",
+    "NOT_NORMAL",
+    "OUT_OF_SCOPE",
+    "ClassificationReport",
     "check_partition",
     "transpose",
     "n_odd",
@@ -230,6 +235,38 @@ class BlockVector:
     def sorted_d(self) -> tuple[int, ...]:
         """Ascending rearrangement of d (canonical conjugate-Levi form)."""
         return tuple(sorted(self.d))
+
+
+NORMAL = "normal"
+NOT_NORMAL = "not_normal"
+OUT_OF_SCOPE = "out_of_scope"
+
+
+@dataclass(frozen=True)
+class ClassificationReport:
+    """All classification flags for one parabolic, named by its coloring.
+
+    ``blocks`` is None for the exceptional kinds, which have no matrix
+    blocks; ``label`` is the Bala-Carter label of a Richardson orbit that
+    the exceptional tables record as not induced by an sl2-triple (the 20
+    nice E6 colorings the diagram flip moves are not sl2-given but unlabelled).
+    """
+
+    coloring: Coloring
+    blocks: BlockVector | None = None
+    nice: bool = False
+    birational: bool = False
+    sl2_given: bool = False
+    normal: str = OUT_OF_SCOPE
+    partition: tuple[int, ...] | None = None
+    orbit_dim: int | None = None
+    covering_degree: int | None = None
+    label: str | None = None
+    diagnostics: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def kind(self) -> LieKind:
+        return self.coloring.kind
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .classify import ClassificationReport
-from .core import Coloring, InvariantError, LieKind, UnsupportedKindError
+from .core import ClassificationReport, Coloring, InvariantError, LieKind, UnsupportedKindError
 
 __all__ = [
     "root_system",
@@ -288,8 +287,6 @@ def exceptional_lookup(coloring: Coloring) -> ClassificationReport:
     nice = birational or label is not None
     opposite = tuple(u[i] for i in _OPPOSITION.get(kind.name, range(kind.rank)))
     return ClassificationReport(
-        kind=kind,
-        blocks=None,
         coloring=coloring,
         nice=nice,
         birational=birational,

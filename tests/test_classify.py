@@ -15,7 +15,18 @@ from richardson.classify import (
     normal_closure,
 )
 from richardson import oracle
-from richardson.core import BlockVector, DescriptorError, LieKind, all_block_vectors
+from richardson.core import (
+    BlockVector,
+    ClassificationReport,
+    Coloring,
+    DescriptorError,
+    LieKind,
+    all_block_vectors,
+    all_colorings,
+    blocks_from_coloring,
+    coloring_from_blocks,
+)
+from richardson.exceptional import exceptional_lookup
 from richardson.oracle import levi_dim
 from richardson.partitions import richardson_partition
 from richardson.verify import classical_kinds_up_to
@@ -261,3 +272,52 @@ class TestClassify:
             assert r.partition == closed
             assert f"closed form {closed} != certified oracle ({b.N},)" in r.diagnostics
             monkeypatch.undo()
+
+
+class TestOneEntryPoint:
+    """``classify`` takes a block vector or a coloring of any kind, and a
+    report names one parabolic through both descriptors."""
+
+    def test_exceptional_colorings_give_the_table_report(self):
+        colorings = [
+            c for name in ("G2", "F4", "E6", "E7", "E8") for c in all_colorings(LieKind.parse(name))
+        ]
+        assert len(colorings) == 468
+        for c in colorings:
+            assert classify(c) == exceptional_lookup(c)
+
+    def test_exceptional_coloring_refuses_the_oracle(self):
+        c = Coloring(LieKind.parse("E7"), (1, 1, 0, 0, 0, 0, 1))
+        with pytest.raises(DescriptorError, match="--with-oracle applies to classical kinds only"):
+            classify(c, with_oracle=True)
+
+    def test_classical_coloring_and_its_blocks_agree(self):
+        kinds = [*classical_kinds_up_to(("A",), 7), *classical_kinds_up_to(("B", "C", "D"), 10)]
+        checked = 0
+        for kind in kinds:
+            for c in all_colorings(kind):
+                if c.canonical() != c:
+                    continue
+                b = blocks_from_coloring(c)
+                assert classify(c) == classify(b)
+                assert classify(b).coloring == coloring_from_blocks(b) == c
+                checked += 1
+        assert checked == 126 + 28 + 60 + 42  # A1-A6, then B, C, D with N <= 10
+
+    def test_non_canonical_d_coloring_is_kept(self):
+        d4 = LieKind.parse("D4")
+        r = classify(Coloring(d4, (0, 0, 1, 0)))
+        assert r.coloring == Coloring(d4, (0, 0, 1, 0))
+        assert r.blocks == blocks_from_coloring(Coloring(d4, (0, 0, 0, 1)))
+
+    def test_flags_are_keyword_only(self):
+        # the second positional slot held ``coloring``; a caller that still
+        # fills it must fail rather than switch the oracle on
+        with pytest.raises(TypeError):
+            classify(bv("C3", (2,), 2), True)
+
+    def test_kind_is_the_colorings(self):
+        c = Coloring(LieKind.parse("B3"), (0, 1, 1))
+        assert classify(c).kind == classify(blocks_from_coloring(c)).kind == c.kind
+        with pytest.raises(TypeError):
+            ClassificationReport(coloring=c, kind=LieKind.parse("C3"))

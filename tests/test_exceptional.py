@@ -3,8 +3,15 @@ import random
 import pytest
 
 from richardson import core, exceptional
-from richardson.classify import OUT_OF_SCOPE, ClassificationReport
-from richardson.core import Coloring, InvariantError, LieKind, UnsupportedKindError, all_colorings
+from richardson.core import (
+    OUT_OF_SCOPE,
+    ClassificationReport,
+    Coloring,
+    InvariantError,
+    LieKind,
+    UnsupportedKindError,
+    all_colorings,
+)
 from richardson.exceptional import (
     NON_SL2_ORBITS,
     appendix_colorings,

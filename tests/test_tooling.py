@@ -107,6 +107,40 @@ def test_no_function_level_relative_imports():
     assert found == [], f"function-level relative imports: {found}"
 
 
+def test_modules_import_only_lower_layers():
+    # core < partitions < oracle < exceptional < classify < verify < cli: a
+    # module imports only library modules below it, so no cycle can form.
+    # Importing any submodule first runs the package __init__, which loads
+    # every module, so only the source shows the layering.
+    order = ("core", "partitions", "oracle", "exceptional", "classify", "verify", "cli")
+    package = Path(richardson.__file__).parent
+    assert {p.stem for p in package.glob("*.py")} == {"__init__", *order}
+
+    def imported(node):
+        # library modules an import statement names; "richardson" is the package
+        if isinstance(node, ast.Import):
+            return [a.name.split(".")[1] for a in node.names if a.name.startswith("richardson.")]
+        if not isinstance(node, ast.ImportFrom):
+            return []
+        module = node.module or ""
+        if node.level == 0:
+            if module != "richardson" and not module.startswith("richardson."):
+                return []
+            module = module.partition(".")[2]
+        if module:
+            return [module.split(".")[0]]
+        return [a.name if a.name in order else "richardson" for a in node.names]
+
+    found = [
+        f"{name}.py:{node.lineno} imports {target}"
+        for rank, name in enumerate(order)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text()))
+        for target in imported(node)
+        if target not in order[:rank]
+    ]
+    assert found == [], f"imports of a module not below the importer: {found}"
+
+
 def test_no_unreferenced_private_helpers():
     # a deletion can orphan the private helper it used: every top-level
     # ``_name`` in the library is read by some other top-level statement
