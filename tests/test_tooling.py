@@ -119,7 +119,8 @@ def test_modules_import_only_lower_layers():
     def imported(node):
         # library modules an import statement names; "richardson" is the package
         if isinstance(node, ast.Import):
-            return [a.name.split(".")[1] for a in node.names if a.name.startswith("richardson.")]
+            dotted = [a.name.split(".") for a in node.names]
+            return [p[1] if len(p) > 1 else "richardson" for p in dotted if p[0] == "richardson"]
         if not isinstance(node, ast.ImportFrom):
             return []
         module = node.module or ""
