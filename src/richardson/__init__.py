@@ -47,7 +47,6 @@ from .exceptional import (
 )
 from .oracle import (
     ExactMatrix,
-    MatrixRealization,
     generic_nilradical_element,
     jordan_partition,
     levi_dim,

@@ -258,7 +258,7 @@ def classify(
         b, coloring = parabolic, coloring_from_blocks(parabolic)
     elif parabolic.kind.is_exceptional:
         if with_oracle:
-            raise DescriptorError("--with-oracle applies to classical kinds only")
+            raise DescriptorError("with_oracle applies to classical kinds only")
         return exceptional_lookup(parabolic)
     else:
         b, coloring = blocks_from_coloring(parabolic), parabolic

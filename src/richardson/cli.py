@@ -198,6 +198,8 @@ def _cmd_classify(args) -> int:
             raise
     else:
         raise DescriptorError("one of --blocks or --coloring is required")
+    if args.with_oracle and kind.is_exceptional:
+        raise DescriptorError("--with-oracle applies to classical kinds only")
     report = classify(parabolic, with_oracle=args.with_oracle, trials=args.trials, seed=args.seed)
     record = report_to_record(report)
     for note in report.diagnostics:

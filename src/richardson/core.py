@@ -253,13 +253,13 @@ class ClassificationReport:
     """
 
     coloring: Coloring
+    orbit_dim: int
     blocks: BlockVector | None = None
     nice: bool = False
     birational: bool = False
     sl2_given: bool = False
     normal: str = OUT_OF_SCOPE
     partition: tuple[int, ...] | None = None
-    orbit_dim: int | None = None
     covering_degree: int | None = None
     label: str | None = None
     diagnostics: tuple[str, ...] = field(default_factory=tuple)

@@ -2,11 +2,12 @@
 algebras, generic nilradical elements, and exact-arithmetic Jordan types
 and centralizer dimensions.
 
-Everything here is exact and runs on one integer matrix type.  One walker,
-:func:`_root_entries`, lists the nonzero entries of the basis elements; a
-generic nilradical element is written from those sparse entries into one
-N x N array, and dense basis matrices are built only where a caller reads
-them.  Jordan types come from ranks of integer matrix powers via
+Everything here is exact and runs on one integer matrix type.  The
+realization of each classical kind is built once and cached as a sparse
+basis, the nonzero entries of each element: a generic nilradical element
+is written from those entries into one N x N array, and dense basis
+matrices are built only for :func:`levi_dim`, :func:`nilradical_basis` and
+the tests.  Jordan types come from ranks of integer matrix powers via
 fraction-free (Bareiss) elimination: the drops rank X^(k-1) - rank X^k are
 the transposed Jordan type.  The genericity certificate
 ``dim g^X = dim g - 2 dim n`` reads dim g^X off the exact Jordan type of X
@@ -23,7 +24,7 @@ from __future__ import annotations
 import operator
 import random
 import warnings
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -38,7 +39,6 @@ from .core import (
 __all__ = [
     "ExactMatrix",
     "NotNilpotentError",
-    "MatrixRealization",
     "realization",
     "nilradical_basis",
     "levi_dim",
@@ -120,34 +120,7 @@ def _int_rank(m: list[list[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# matrix realizations (skew-diagonal forms, upper-triangular Borel)
-
-
-class MatrixRealization:
-    """A classical Lie algebra realized inside gl_N.
-
-    Type A: trace-zero matrices.  B/D: the orthogonal algebra of the
-    symmetric form with 1s on the skew diagonal.  C: the symplectic algebra
-    of the skew-diagonal form whose first n entries are 1 and last n are -1.
-
-    The dense ``basis`` is built on first read: only the ad-rank cross-check
-    in ``tests/reference.py`` needs it, and the oracle's sampling path never
-    does.
-    """
-
-    def __init__(self, kind: LieKind):
-        if not kind.is_classical:
-            raise UnsupportedKindError(f"no matrix realization for {kind.name}")
-        self.kind = kind
-
-    @cached_property
-    def basis(self) -> tuple[ExactMatrix, ...]:
-        basis = tuple(_root_vectors(self.kind, lambda i, j: True))
-        if len(basis) != self.kind.dim:
-            raise InvariantError(
-                f"{self.kind.name}: built {len(basis)} basis matrices, expected dim {self.kind.dim}"
-            )
-        return basis
+# the sparse realization (skew-diagonal forms, upper-triangular Borel)
 
 
 def _sign(N: int, i: int) -> int:
@@ -155,23 +128,19 @@ def _sign(N: int, i: int) -> int:
     return 1 if i < N // 2 else -1
 
 
-def _root_entries(
-    kind: LieKind, keep: Callable[[int, int], bool]
-) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    """Nonzero ``(i, j, v)`` entries of each basis element of the realization
-    whose leading position (i, j) passes ``keep``, in row-major order of
-    leading position and row-major order within an element.
+def _grid_entries(kind: LieKind) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """Nonzero ``(i, j, v)`` entries of each basis element, walking the
+    N x N grid of leading positions (i, j) row-major; the leading entry
+    comes first.
 
     Cartan elements lead at (i, i): E_ii - E_{i+1,i+1} in type A and
-    E_ii - E_{N-1-i,N-1-i} in B/C/D.  ``keep`` must be symmetric under the
-    mirror (i, j) -> (N-1-j, N-1-i) for B/C/D, as every block predicate is.
+    E_ii - E_{N-1-i,N-1-i} in B/C/D.  A B/C/D root vector leads at the
+    first of (i, j) and its mirror (N-1-j, N-1-i).
     """
     N = kind.matrix_size
     fam = kind.family
     for i in range(N):
         for j in range(N):
-            if not keep(i, j):
-                continue
             if fam != "A":
                 pi, pj = N - 1 - j, N - 1 - i
                 if (pi, pj) < (i, j):  # the mirror came first and yielded both
@@ -187,6 +156,34 @@ def _root_entries(
                 yield ((i, i, 1), (i + 1, i + 1, -1))
 
 
+@lru_cache(maxsize=None)
+def realization(kind: LieKind) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The classical Lie algebra g inside gl_N as a sparse basis, built once
+    per kind: each element's nonzero ``(i, j, v)`` entries, leading position
+    first, in row-major order of leading position.
+
+    Type A: trace-zero matrices.  B/D: the orthogonal algebra of the
+    symmetric form with 1s on the skew diagonal.  C: the symplectic algebra
+    of the skew-diagonal form whose first n entries are 1 and last n are -1.
+    An exceptional kind has no matrix size and raises
+    :class:`~richardson.core.UnsupportedKindError`.
+    """
+    basis = tuple(_grid_entries(kind))
+    if len(basis) != kind.dim:
+        raise InvariantError(
+            f"{kind.name}: built {len(basis)} basis elements, expected dim {kind.dim}"
+        )
+    return basis
+
+
+def _root_entries(
+    kind: LieKind, keep: Callable[[int, int], bool]
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """The elements of :func:`realization` whose leading position (i, j)
+    passes ``keep``, in its order."""
+    return (entries for entries in realization(kind) if keep(entries[0][0], entries[0][1]))
+
+
 def _root_vectors(kind: LieKind, keep: Callable[[int, int], bool]) -> list[ExactMatrix]:
     """The elements of :func:`_root_entries` as dense matrices, in its order."""
     N = kind.matrix_size
@@ -197,11 +194,6 @@ def _root_vectors(kind: LieKind, keep: Callable[[int, int], bool]) -> list[Exact
             rows[i][j] = v
         out.append(ExactMatrix(rows))
     return out
-
-
-@lru_cache(maxsize=None)
-def realization(kind: LieKind) -> MatrixRealization:
-    return MatrixRealization(kind)
 
 
 # ---------------------------------------------------------------------------

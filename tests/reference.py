@@ -4,8 +4,14 @@ Each function here computes a quantity a second way, so that the tests can
 hold the library's one path against it:
 
 * :func:`centralizer_dim` reads dim g^X off the exact rank of ad(X) on the
-  dense realization basis, against the Jordan-type closed forms of
-  :func:`richardson.oracle.certified_centralizer_dim`;
+  dense basis of g (:func:`dense_basis`), against the Jordan-type closed
+  forms of :func:`richardson.oracle.certified_centralizer_dim`;
+* :func:`row_space_jordan_partition` reads rank X^k off a chain of integer
+  row spaces, against the Bareiss ranks of the powers in
+  :func:`richardson.oracle.jordan_partition`;
+* :func:`levi_dim_closed_form` sums the dimensions of the Levi's simple
+  factors, against the count of Levi basis matrices in
+  :func:`richardson.oracle.levi_dim`;
 * :func:`levi_blocks_from_matrices` solves for the grading element with
   exact rationals, against :func:`richardson.core.blocks_from_coloring`;
 * :func:`partition_type_a`, :func:`partition_bcd` and
@@ -26,6 +32,8 @@ ranks; the small matrix helpers the tests need besides (:func:`zeros`,
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Iterator, Sequence
 
 from richardson.classify import is_nice
@@ -38,7 +46,7 @@ from richardson.core import (
     coloring_from_blocks,
     transpose,
 )
-from richardson.oracle import ExactMatrix, MatrixRealization, _int_rank
+from richardson.oracle import ExactMatrix, NotNilpotentError, _int_rank, _root_vectors
 
 
 class MembershipError(ValueError):
@@ -81,6 +89,12 @@ def bracket(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
 # invariant forms and the ad-rank centralizer
 
 
+@lru_cache(maxsize=None)
+def dense_basis(kind: LieKind) -> tuple[ExactMatrix, ...]:
+    """The realization's basis of g as dense matrices, in its order."""
+    return tuple(_root_vectors(kind, lambda i, j: True))
+
+
 def form_matrix(kind: LieKind) -> ExactMatrix | None:
     """The form the realization preserves: None for type A (trace zero), 1s
     on the skew diagonal for B/D, and for C the skew-diagonal form whose
@@ -98,30 +112,76 @@ def form_matrix(kind: LieKind) -> ExactMatrix | None:
     return ExactMatrix(rows)
 
 
-def contains(real: MatrixRealization, x: ExactMatrix) -> bool:
-    """Is ``x`` in the realization: trace zero in type A, and X^T F + F X = 0
-    for the form F of B/C/D."""
-    N = real.kind.matrix_size
+def contains(kind: LieKind, x: ExactMatrix) -> bool:
+    """Is ``x`` in the realization of ``kind``: trace zero in type A, and
+    X^T F + F X = 0 for the form F of B/C/D."""
+    N = kind.matrix_size
     if x.rows != N or x.cols != N:
         return False
-    form = form_matrix(real.kind)
+    form = form_matrix(kind)
     if form is None:
         return sum(x.data[i][i] for i in range(N)) == 0
     return is_zero(combine((1, ExactMatrix(list(zip(*x.data))) @ form), (1, form @ x)))
 
 
-def _ad_rows(real: MatrixRealization, x: ExactMatrix) -> list[list[int]]:
+def _ad_rows(kind: LieKind, x: ExactMatrix) -> list[list[int]]:
     rows = []
-    for elt in real.basis:
+    for elt in dense_basis(kind):
         rows.append([v for row in bracket(x, elt).data for v in row])
     return rows
 
 
-def centralizer_dim(real: MatrixRealization, x: ExactMatrix) -> int:
+def centralizer_dim(kind: LieKind, x: ExactMatrix) -> int:
     """dim {Y in g : [X, Y] = 0}, via the exact rank of ad(X) on g."""
-    if not contains(real, x):
-        raise MembershipError(f"matrix is not in {real.kind.name}")
-    return len(real.basis) - _int_rank(_ad_rows(real, x))
+    if not contains(kind, x):
+        raise MembershipError(f"matrix is not in {kind.name}")
+    return len(dense_basis(kind)) - _int_rank(_ad_rows(kind, x))
+
+
+# ---------------------------------------------------------------------------
+# Jordan types from row spaces, and the Levi dimension in closed form
+
+
+def _primitive_echelon(rows: list[list[int]]) -> list[list[int]]:
+    """Integer echelon rows spanning the same rational row space, each
+    divided by the gcd of its entries."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for row in rows:
+        for col, top in basis:
+            if row[col]:
+                row = [top[col] * a - row[col] * b for a, b in zip(row, top)]
+        lead = next((col for col, v in enumerate(row) if v), None)
+        if lead is not None:
+            g = gcd(*row)
+            basis.append((lead, [v // g for v in row]))
+    return [row for _, row in basis]
+
+
+def row_space_jordan_partition(x: ExactMatrix) -> tuple[int, ...]:
+    """Jordan type of a nilpotent matrix from the row-space chain: the row
+    space of X^k is that of X^(k-1) times X, so rank X^k is the number of
+    primitive integer echelon rows of (the previous row basis) . X."""
+    cols = list(zip(*x.data))
+    rows = [list(r) for r in identity(x.rows).data]
+    ranks = [x.rows]
+    while rows:
+        rows = _primitive_echelon([[sum(a * b for a, b in zip(r, c)) for c in cols] for r in rows])
+        if len(rows) == ranks[-1]:
+            raise NotNilpotentError(f"rank of the powers stalled at {len(rows)} > 0")
+        ranks.append(len(rows))
+    return transpose([a - b for a, b in zip(ranks, ranks[1:])])
+
+
+def levi_dim_closed_form(b: BlockVector) -> int:
+    """dim m from the Levi's factors: gl_d for each block d, minus the centre
+    in type A; so_c (B/D) or sp_c (C) for the central block c."""
+    squares = sum(d * d for d in b.d)
+    c = b.central or 0
+    if b.kind.family == "A":
+        return squares - 1
+    if b.kind.family == "C":
+        return squares + c * (c + 1) // 2
+    return squares + c * (c - 1) // 2
 
 
 # ---------------------------------------------------------------------------

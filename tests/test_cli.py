@@ -197,6 +197,18 @@ class TestClassify:
             assert code == 0
             jsonschema.validate(json.loads(out), schema)
 
+    def test_schema_refuses_null_coloring_and_orbit_dim(self, capsys):
+        # every report has a coloring and an orbit dimension, so the schema
+        # admits no null for either
+        schema = record_schema()
+        code, out, _ = run_cli(capsys, "classify", "--kind", "C3", "--blocks", "2", "--central", "2", "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        jsonschema.validate(record, schema)
+        for key in ("coloring", "orbit_dim"):
+            with pytest.raises(jsonschema.ValidationError, match="None is not of type"):
+                jsonschema.validate({**record, key: None}, schema)
+
 
 class TestEnumerate:
     def test_g2_birational_count(self, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from richardson import oracle
 from richardson.classify import classify, is_nice
-from richardson.core import BlockVector, Coloring, InvariantError, LieKind, all_block_vectors, all_colorings, blocks_from_coloring
+from richardson.core import BlockVector, Coloring, InvariantError, LieKind, UnsupportedKindError, all_block_vectors, all_colorings, blocks_from_coloring
 from richardson.oracle import (
     ExactMatrix,
     NotNilpotentError,
@@ -28,10 +28,13 @@ from reference import (
     centralizer_dim,
     combine,
     contains,
+    dense_basis,
     identity,
     is_zero,
     levi_blocks_from_matrices,
+    levi_dim_closed_form,
     rank_and_kernel,
+    row_space_jordan_partition,
     zeros,
 )
 
@@ -87,37 +90,51 @@ class TestRealization:
         [("A3", 15), ("A5", 35), ("B2", 10), ("B3", 21), ("C2", 10), ("C4", 36), ("D3", 15), ("D4", 28), ("D6", 66)],
     )
     def test_dimensions(self, name, dim):
-        real = realization(LieKind.parse(name))
-        assert len(real.basis) == dim
+        kind = LieKind.parse(name)
+        assert len(realization(kind)) == len(dense_basis(kind)) == dim
 
     def test_form_invariance_exact(self):
         # contains checks X^T F + F X = 0 exactly for the form F
         for name in ("B2", "B3", "C2", "C3", "D3", "D4", "D5"):
-            real = realization(LieKind.parse(name))
-            assert all(contains(real, elt) for elt in real.basis)
+            kind = LieKind.parse(name)
+            assert all(contains(kind, elt) for elt in dense_basis(kind))
 
     def test_type_a_traceless(self):
-        real = realization(LieKind("A", 4))
-        assert all(sum(elt.data[i][i] for i in range(5)) == 0 for elt in real.basis)
+        assert all(sum(elt.data[i][i] for i in range(5)) == 0 for elt in dense_basis(LieKind("A", 4)))
 
     def test_short_basis_raises_invariant_error(self, monkeypatch):
-        calls = []
+        monkeypatch.setattr(oracle, "_grid_entries", lambda kind: iter([((0, 1, 1),)]))
+        realization.cache_clear()
+        try:
+            with pytest.raises(InvariantError, match="built 1 basis elements, expected dim 8"):
+                realization(LieKind("A", 2))
+        finally:
+            realization.cache_clear()
 
-        def short_walk(kind, keep):
-            calls.append(kind)
-            return [identity(3)]
-
-        monkeypatch.setattr(oracle, "_root_vectors", short_walk)
-        real = oracle.MatrixRealization(LieKind("A", 2))
-        assert calls == []  # the dense basis is built on first read only
-        with pytest.raises(InvariantError, match="built 1 basis matrices, expected dim 8"):
-            real.basis
+    def test_sparse_basis_up_to_16(self):
+        # one cached basis per kind, of length dim g, each element led by its
+        # first entry at row-major increasing positions; B/C/D elements lead
+        # at the first of a position and its mirror
+        kinds = list(classical_kinds_up_to(("A", "B", "C", "D"), 16))
+        assert len(kinds) == 15 + 6 + 7 + 6  # A1-A15, B2-B7, C2-C8, D3-D8
+        for kind in kinds:
+            basis = realization(kind)
+            assert realization(kind) is basis
+            assert len(basis) == kind.dim, kind.name
+            leads = [entries[0][:2] for entries in basis]
+            assert leads == sorted(set(leads)), kind.name
+            N = kind.matrix_size
+            assert all(entries[0][2] == 1 for entries in basis)
+            if kind.family != "A":
+                assert all((i, j) <= (N - 1 - j, N - 1 - i) for i, j in leads), kind.name
+        for name in ("G2", "E8"):
+            with pytest.raises(UnsupportedKindError):
+                realization(LieKind.parse(name))
 
     def test_contains(self):
-        real = realization(LieKind("C", 2))
         x = generic_nilradical_element(BlockVector(LieKind("C", 2), (1,), 2), 7)
-        assert contains(real, x)
-        assert not contains(real, identity(4))
+        assert contains(LieKind("C", 2), x)
+        assert not contains(LieKind("C", 2), identity(4))
 
 
 class TestNilradical:
@@ -136,8 +153,7 @@ class TestNilradical:
     def test_c2_block_structure(self):
         b = BlockVector(LieKind("C", 2), (1,), 2)
         x = generic_nilradical_element(b, 42)
-        real = realization(b.kind)
-        assert contains(real, x)
+        assert contains(b.kind, x)
         blocks = (0, 1, 1, 2)  # block index per row/col for blocks (1,2,1)
         for i in range(4):
             for j in range(4):
@@ -176,7 +192,7 @@ class TestNilradical:
 
         monkeypatch.setattr(oracle, "_root_vectors", recording_walk)
         for kind in classical_kinds_up_to(("A", "B", "C", "D"), 8):
-            basis = set(realization(kind).basis)
+            basis = set(dense_basis(kind))
             for b in all_block_vectors(kind):
                 nil = nilradical_basis(b)
                 levi_dim(b)
@@ -190,6 +206,40 @@ class TestNilradical:
         assert levi_dim(BlockVector(LieKind("C", 2), (1,), 2)) == 4  # gl_1 x sp_2
         assert levi_dim(BlockVector(LieKind("D", 4), (2,), 4)) == 10  # gl_2 x so_4
         assert classify(BlockVector(LieKind("C", 3), (2,), 2)).orbit_dim == 14
+
+
+class TestReferencePins:
+    # the library's Bareiss powers and Levi basis count against the two
+    # cheaper references, so that either can replace its path unchanged
+    def test_jordan_partition_matches_row_space_chain(self):
+        non_nice = [
+            b
+            for kind in classical_kinds_up_to(("B", "C", "D"), 12)
+            for b in all_block_vectors(kind)
+            if not is_nice(b)
+        ]
+        nice = [
+            b
+            for kind in classical_kinds_up_to(("A", "B", "C", "D"), 9)
+            for b in all_block_vectors(kind)
+            if is_nice(b)
+        ]
+        assert (len(non_nice), len(nice)) == (62, 376)
+        for b in non_nice + nice:
+            x = generic_nilradical_element(b, 1)
+            assert jordan_partition(x) == row_space_jordan_partition(x), (b.kind.name, b.d, b.central)
+
+    def test_row_space_chain_refuses_non_nilpotent(self):
+        with pytest.raises(NotNilpotentError, match="stalled at 1"):
+            row_space_jordan_partition(direct_sum(jordan_block(2), identity(1)))
+
+    def test_levi_dim_matches_closed_form(self):
+        vectors = [
+            b for kind in classical_kinds_up_to(("A", "B", "C", "D"), 10) for b in all_block_vectors(kind)
+        ]
+        assert len(vectors) == 1152
+        for b in vectors:
+            assert levi_dim(b) == levi_dim_closed_form(b), (b.kind.name, b.d, b.central)
 
 
 class TestJordan:
@@ -219,32 +269,28 @@ class TestJordan:
 
 class TestCentralizer:
     def test_zero_gives_dim_g(self):
-        real = realization(LieKind("A", 3))
-        assert centralizer_dim(real, zeros(4)) == len(real.basis)
+        kind = LieKind("A", 3)
+        assert centralizer_dim(kind, zeros(4)) == len(dense_basis(kind))
 
     def test_sl2_regular(self):
-        real = realization(LieKind("A", 1))
-        assert centralizer_dim(real, ExactMatrix([[0, 1], [0, 0]])) == 1
+        assert centralizer_dim(LieKind("A", 1), ExactMatrix([[0, 1], [0, 0]])) == 1
 
     def test_a3_middle(self):
         b = BlockVector(LieKind("A", 3), (1, 2, 1))
-        real = realization(b.kind)
         x = generic_nilradical_element(b, 1)
-        assert centralizer_dim(real, x) == levi_dim(b) == 5
+        assert centralizer_dim(b.kind, x) == levi_dim(b) == 5
 
     def test_membership_error(self):
-        real = realization(LieKind("C", 2))
         with pytest.raises(MembershipError):
-            centralizer_dim(real, identity(4))
+            centralizer_dim(LieKind("C", 2), identity(4))
 
     def test_certified_matches_exact(self):
         for name, d, c in (("B3", (2,), 3), ("C3", (2,), 2), ("D4", (1, 1), 4), ("A4", (2, 3), None)):
             b = BlockVector(LieKind.parse(name), d, c)
-            real = realization(b.kind)
             x = generic_nilradical_element(b, 9)
             fast, cert = certified_centralizer_dim(b.kind, jordan_partition(x), levi_dim(b))
             assert cert
-            assert fast == centralizer_dim(real, x) == levi_dim(b)
+            assert fast == centralizer_dim(b.kind, x) == levi_dim(b)
 
     def test_below_bound_raises(self):
         b = BlockVector(LieKind("C", 3), (2,), 2)
@@ -260,7 +306,6 @@ class TestCentralizer:
         types: set[tuple[str, tuple[int, ...]]] = set()
         uncertified = {fam: 0 for fam in "ABCD"}
         for kind in classical_kinds_up_to(("A", "B", "C", "D"), 8):
-            real = realization(kind)
             for b in all_block_vectors(kind):
                 basis = nilradical_basis(b)
                 if not basis:
@@ -269,7 +314,7 @@ class TestCentralizer:
                 x = combine(*((rng.randint(-2, 2), elt) for elt in sample))
                 lam = jordan_partition(x)
                 dim, cert = certified_centralizer_dim(kind, lam, levi_dim(b))
-                assert dim == centralizer_dim(real, x), (kind.name, b.d, b.central, lam)
+                assert dim == centralizer_dim(kind, x), (kind.name, b.d, b.central, lam)
                 types.add((kind.name, lam))
                 uncertified[kind.family] += not cert
         assert all(uncertified.values()), uncertified
@@ -453,9 +498,8 @@ class TestLeviBlocks:
 
 class TestBracket:
     def test_antisymmetry_and_jacobi_sample(self):
-        real = realization(LieKind("C", 2))
         rng = random.Random(2)
-        elts = rng.sample(real.basis, 4)
+        elts = rng.sample(dense_basis(LieKind("C", 2)), 4)
         for x, y in itertools.combinations(elts, 2):
             assert bracket(x, y) == combine((-1, bracket(y, x)))
         x, y, z = elts[:3]

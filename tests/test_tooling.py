@@ -222,3 +222,37 @@ def test_dataclass_fields_are_read():
         if attr not in loaded
     ]
     assert unread == [], f"dataclass members no library module reads: {unread}"
+
+
+def test_benchmark_warm_up_builds_what_the_passes_read(monkeypatch):
+    # the oracle workloads' warm() builds each kind's sparse realization, and
+    # a timed pass then builds none of its own
+    from richardson.classify import is_nice
+    from richardson.core import all_block_vectors
+    from richardson.oracle import realization
+    from richardson.verify import classical_kinds_up_to
+
+    bench = Path(__file__).parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_harness", bench / "harness.py")
+    harness = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, harness)  # its dataclasses look it up
+    spec.loader.exec_module(harness)
+
+    def nice_count(family, max_n):
+        kinds = classical_kinds_up_to((family,), max_n)
+        return sum(is_nice(b) for kind in kinds for b in all_block_vectors(kind))
+
+    sweep = harness.VerifySweep(max_n=6, cases={fam: nice_count(fam, 6) for fam in "ABCD"})
+    oracle_run = harness.ClassifyOracle(max_n=8, calls=6)
+    oracle_run.prepare()
+    for workload, families, max_n in ((sweep, "ABCD", 6), (oracle_run, "BCD", 8)):
+        realization.cache_clear()
+        workload.warm()
+        kinds = list(classical_kinds_up_to(tuple(families), max_n))
+        assert realization.cache_info().currsize == len(kinds)
+        misses = realization.cache_info().misses
+        result = workload.run_pass(seed=1)
+        assert result.problems == [] and result.failed == 0 and result.attempted > 0
+        assert realization.cache_info().misses == misses, workload.name
+        assert all(len(realization(kind)) == kind.dim for kind in kinds)
