@@ -10,50 +10,14 @@ exact-arithmetic matrix oracle; exceptional types are served from encoded
 tables with orbit dimensions recomputed from root systems.
 """
 
-from .classify import (
-    classify,
-    covering_degree,
-    is_birational_by_blocks,
-    is_birational_by_partition,
-    is_nice,
-    is_sl2_given,
-    normal_closure,
-)
-from .core import (
-    NORMAL,
-    NOT_NORMAL,
-    OUT_OF_SCOPE,
-    BlockVector,
-    ClassificationReport,
-    Coloring,
-    DescriptorError,
-    InvariantError,
-    LieKind,
-    UnsupportedKindError,
-    all_block_vectors,
-    all_colorings,
-    blocks_from_coloring,
-    coloring_from_blocks,
-    n_odd,
-    transpose,
-)
-from .exceptional import (
-    appendix_colorings,
-    appendix_records,
-    exceptional_lookup,
-    grading_dims,
-    orbit_dim,
-    root_system,
-)
-from .oracle import (
-    ExactMatrix,
-    generic_nilradical_element,
-    jordan_partition,
-    levi_dim,
-    oracle_richardson_partition,
-    realization,
-)
-from .partitions import richardson_partition
-from .verify import run_verification
+# Each module's __all__ is the one statement of what the package exports.
+# PEP 8 allows wildcard imports to republish an internal interface as the
+# public API; they run in layer order, and no name is in two __all__ lists.
+from .core import *
+from .partitions import *
+from .oracle import *
+from .exceptional import *
+from .classify import *
+from .verify import *
 
 __version__ = "0.1.0"

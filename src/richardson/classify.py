@@ -42,7 +42,6 @@ __all__ = [
     "is_sl2_given",
     "normal_closure",
     "covering_degree",
-    "cross_check",
     "classify",
 ]
 

@@ -45,11 +45,8 @@ __all__ = [
     "NOT_NORMAL",
     "OUT_OF_SCOPE",
     "ClassificationReport",
-    "check_partition",
     "transpose",
     "n_odd",
-    "is_unimodal",
-    "is_palindromic",
     "blocks_from_coloring",
     "coloring_from_blocks",
     "all_colorings",
@@ -254,10 +251,10 @@ class ClassificationReport:
 
     coloring: Coloring
     orbit_dim: int
+    nice: bool
+    birational: bool
+    sl2_given: bool
     blocks: BlockVector | None = None
-    nice: bool = False
-    birational: bool = False
-    sl2_given: bool = False
     normal: str = OUT_OF_SCOPE
     partition: tuple[int, ...] | None = None
     covering_degree: int | None = None

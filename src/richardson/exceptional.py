@@ -30,7 +30,6 @@ __all__ = [
     "exceptional_lookup",
     "appendix_colorings",
     "appendix_records",
-    "NON_SL2_ORBITS",
 ]
 
 # Cartan matrices, Bourbaki numbering; row i holds the pairings <alpha_j, alpha_i^vee>.

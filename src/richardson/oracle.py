@@ -6,15 +6,14 @@ Everything here is exact and runs on one integer matrix type.  The
 realization of each classical kind is built once and cached as a sparse
 basis, the nonzero entries of each element: a generic nilradical element
 is written from those entries into one N x N array, and dense basis
-matrices are built only for :func:`levi_dim`, :func:`nilradical_basis` and
-the tests.  Jordan types come from ranks of integer matrix powers via
-fraction-free (Bareiss) elimination: the drops rank X^(k-1) - rank X^k are
-the transposed Jordan type.  The genericity certificate
-``dim g^X = dim g - 2 dim n`` reads dim g^X off the exact Jordan type of X
-(Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie Algebras*,
-Cor. 6.1.4); the right side, which equals dim m, is a lower bound for it
-whenever X lies in the nilradical n, with equality exactly when X is a
-Richardson element.  The rank of ``ad(X)`` on ``g`` gives the same dimension
+matrices are built only for :func:`levi_dim` and the tests.  Jordan types
+come from ranks of integer matrix powers via fraction-free (Bareiss)
+elimination: the drops rank X^(k-1) - rank X^k are the transposed Jordan
+type.  The genericity certificate ``dim g^X = dim g - 2 dim n`` reads
+dim g^X off the exact Jordan type of X (Collingwood-McGovern, *Nilpotent
+Orbits in Semisimple Lie Algebras*, Cor. 6.1.4); the right side, which
+equals dim m, is a lower bound for it whenever X lies in the nilradical
+n, with equality exactly when X is a Richardson element.  The rank of ``ad(X)`` on ``g`` gives the same dimension
 independently; it lives with the other cross-checks in ``tests/reference.py``.
 No floating point is used anywhere.
 """
@@ -38,9 +37,7 @@ from .core import (
 
 __all__ = [
     "ExactMatrix",
-    "NotNilpotentError",
     "realization",
-    "nilradical_basis",
     "levi_dim",
     "generic_nilradical_element",
     "jordan_partition",
@@ -205,11 +202,6 @@ def _nilradical_keep(b: BlockVector) -> Callable[[int, int], bool]:
     return lambda i, j: blk[i] < blk[j]
 
 
-def nilradical_basis(b: BlockVector) -> list[ExactMatrix]:
-    """Basis of the nilradical (strictly upper-block part of g)."""
-    return _root_vectors(b.kind, _nilradical_keep(b))
-
-
 def levi_dim(b: BlockVector) -> int:
     """dim m: block-diagonal part of g, counted from the realization."""
     blk = [k for k, size in enumerate(b.full_blocks()) for _ in range(size)]
@@ -251,8 +243,10 @@ def jordan_partition(x: ExactMatrix) -> tuple[int, ...]:
             power = power @ x
         ranks.append(power.rank())
         if ranks[-1] == 0:
-            return transpose([a - b for a, b in zip(ranks, ranks[1:])])
-    raise NotNilpotentError(f"rank of the powers stalled at {ranks[-1]} > 0")
+            break
+    if ranks[-1]:
+        raise NotNilpotentError(f"rank of the powers stalled at {ranks[-1]} > 0")
+    return transpose([a - b for a, b in zip(ranks, ranks[1:])])
 
 
 def certified_centralizer_dim(

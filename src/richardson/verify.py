@@ -17,7 +17,7 @@ from .classify import cross_check, is_nice
 from .core import MIN_RANK, LieKind, all_block_vectors
 from .partitions import richardson_partition
 
-__all__ = ["VerificationResult", "classical_kinds_up_to", "run_verification"]
+__all__ = ["run_verification"]
 
 
 @dataclass

@@ -9,6 +9,9 @@ hold the library's one path against it:
 * :func:`row_space_jordan_partition` reads rank X^k off a chain of integer
   row spaces, against the Bareiss ranks of the powers in
   :func:`richardson.oracle.jordan_partition`;
+* :func:`nilradical_basis` picks the nilradical out of the dense basis by
+  where each element's entries lie, against the leading positions that
+  :func:`richardson.oracle.generic_nilradical_element` keeps;
 * :func:`levi_dim_closed_form` sums the dimensions of the Levi's simple
   factors, against the count of Levi basis matrices in
   :func:`richardson.oracle.levi_dim`;
@@ -93,6 +96,17 @@ def bracket(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
 def dense_basis(kind: LieKind) -> tuple[ExactMatrix, ...]:
     """The realization's basis of g as dense matrices, in its order."""
     return tuple(_root_vectors(kind, lambda i, j: True))
+
+
+def nilradical_basis(b: BlockVector) -> list[ExactMatrix]:
+    """The elements of :func:`dense_basis` whose nonzero entries all lie
+    strictly above the block diagonal of ``b``, in its order."""
+    blk = [k for k, size in enumerate(b.full_blocks()) for _ in range(size)]
+    return [
+        x
+        for x in dense_basis(b.kind)
+        if all(blk[i] < blk[j] for i, row in enumerate(x.data) for j, v in enumerate(row) if v)
+    ]
 
 
 def form_matrix(kind: LieKind) -> ExactMatrix | None:

@@ -80,10 +80,17 @@ class TestClassify:
 
     def test_invalid_blocks_exit_2(self, capsys):
         # an empty field is an error, not a skipped entry: 2,,2 is not 2,2
-        for blocks, needle in (("2,1,2", "sum"), ("2,,2", "cannot parse"), (",4", "cannot parse")):
-            code, _, err = run_cli(capsys, "classify", "--kind", "A3", "--blocks", blocks)
-            assert code == 2, blocks
-            assert needle in err, blocks
+        for argv, needle in (
+            (("A3", "--blocks", "2,1,2"), "sum"),
+            (("A3", "--blocks", "2,,2"), "cannot parse"),
+            (("A3", "--blocks", ",4"), "cannot parse"),
+            (("A3", "--blocks", "0,4"), "block sizes must be positive"),
+            (("A1", "--blocks", ""), "type A needs at least one block"),
+            (("C2", "--blocks", "2", "--central", "0"), "central block must be even and positive"),
+        ):
+            code, _, err = run_cli(capsys, "classify", "--kind", *argv)
+            assert code == 2, argv
+            assert err.startswith("error: ") and needle in err, argv
 
     def test_nonpositive_central_exit_2(self, capsys):
         # 2*3 - 1 = 5 matches B2's matrix size, but no Levi has a block of -1
@@ -165,8 +172,9 @@ class TestClassify:
             (("--blocks", "1", "--coloring", "1,0,0"), "give either --blocks or --coloring, not both"),
             (("--central", "2"), "--central only makes sense together with --blocks"),
             ((), "one of --blocks or --coloring is required"),
+            (("--coloring", "2,0,0"), "coloring entries must be 0 or 1"),
         ],
-        ids=["blocks-and-coloring", "central-alone", "no-descriptor"],
+        ids=["blocks-and-coloring", "central-alone", "no-descriptor", "coloring-entry"],
     )
     def test_descriptor_usage_errors(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "classify", "--kind", "C3", *argv)

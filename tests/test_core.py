@@ -45,6 +45,11 @@ class TestLieKind:
         with pytest.raises(DescriptorError):
             LieKind.parse(bad)
 
+    def test_unknown_family(self):
+        # parse only reads the letters A-G; the constructor checks the family
+        with pytest.raises(DescriptorError, match="unknown family 'X'"):
+            LieKind("X", 1)
+
     def test_matrix_size(self):
         assert LieKind("A", 3).matrix_size == 4
         assert LieKind("B", 3).matrix_size == 7

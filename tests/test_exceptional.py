@@ -106,6 +106,8 @@ class TestRootSystems:
     def test_classical_rejected(self):
         with pytest.raises(UnsupportedKindError):
             root_system(LieKind("A", 3))
+        with pytest.raises(UnsupportedKindError):
+            appendix_colorings(LieKind("C", 3))
 
     def test_wrong_root_count_raises_invariant_error(self, monkeypatch):
         # dim 16 and rank 2 expect (16 - 2) / 2 = 7 positive roots

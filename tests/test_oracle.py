@@ -13,7 +13,6 @@ from richardson.oracle import (
     generic_nilradical_element,
     jordan_partition,
     levi_dim,
-    nilradical_basis,
     oracle_partition_detail,
     oracle_richardson_partition,
     realization,
@@ -33,6 +32,7 @@ from reference import (
     is_zero,
     levi_blocks_from_matrices,
     levi_dim_closed_form,
+    nilradical_basis,
     rank_and_kernel,
     row_space_jordan_partition,
     zeros,
@@ -69,6 +69,19 @@ class TestExactMatrix:
             ExactMatrix([[0.5, 1], [1, 2]])
         with pytest.raises(TypeError):
             ExactMatrix([[Fraction(1, 2), 1], [1, 2]])
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: ExactMatrix([[1], [1, 2]]), "ragged rows"),
+            (lambda: ExactMatrix([[1, 2]]) @ ExactMatrix([[1, 2]]), "shape mismatch"),
+            (lambda: jordan_partition(ExactMatrix([[0, 1]])), "square matrix required"),
+        ],
+        ids=["ragged", "product", "jordan-non-square"],
+    )
+    def test_shape_errors(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_rank_bounded_by_generators(self):
         # rows built from r generators never exceed rank r
@@ -245,6 +258,8 @@ class TestReferencePins:
 class TestJordan:
     def test_zero(self):
         assert jordan_partition(zeros(4)) == (1, 1, 1, 1)
+        # the 0 x 0 matrix is nilpotent with no Jordan blocks
+        assert jordan_partition(zeros(0)) == ()
 
     def test_single_block(self):
         assert jordan_partition(jordan_block(4)) == (4,)
@@ -298,6 +313,10 @@ class TestCentralizer:
         with pytest.raises(InvariantError):
             certified_centralizer_dim(b.kind, (6,), levi_dim(b))
 
+    def test_exceptional_kind_rejected(self):
+        with pytest.raises(UnsupportedKindError):
+            certified_centralizer_dim(LieKind.parse("G2"), (1,), 0)
+
     def test_formula_matches_exact_on_sparse_elements(self):
         # sparse nilradical elements have many non-generic Jordan types; a
         # generic sample always has the same one, so it cannot catch a wrong
@@ -328,6 +347,10 @@ class TestOraclePartition:
     def test_values(self):
         assert oracle_richardson_partition(BlockVector(LieKind("C", 2), (1,), 2), 3) == (2, 2)
         assert oracle_richardson_partition(BlockVector(LieKind("D", 5), (1, 4)), 3) == (3, 3, 2, 2)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            oracle_partition_detail(BlockVector(LieKind("C", 2), (1,), 2), trials=0)
 
     def test_deterministic(self):
         b = BlockVector(LieKind("D", 5), (1, 2), 4)

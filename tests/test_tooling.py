@@ -53,24 +53,20 @@ def test_import_loads_no_rational_arithmetic():
 
 
 def test_exports_resolve():
-    # a deletion that leaves a stale name in __all__ or in the package's
-    # re-exports would only fail at the user's import
+    # a deletion that leaves a stale name in __all__ would only fail at the
+    # user's import; the package republishes each module's __all__ with a
+    # wildcard import, where a name in two lists silently shadows the other
     stale = []
+    owners: dict[str, list[str]] = {}
     for info in pkgutil.iter_modules(richardson.__path__):
         module = importlib.import_module(f"richardson.{info.name}")
         names = getattr(module, "__all__", ())
         stale += [f"{info.name}.{n}" for n in names if not hasattr(module, n)]
+        for n in names:
+            owners.setdefault(n, []).append(info.name)
     assert stale == [], f"names in __all__ that do not resolve: {stale}"
-    tree = ast.parse(Path(richardson.__file__).read_text())
-    unlisted = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-        if not alias.name.startswith("_")
-        and alias.name not in importlib.import_module(f"richardson.{node.module}").__all__
-    ]
-    assert unlisted == [], f"re-exported but missing from the module's __all__: {unlisted}"
+    shared = {n: mods for n, mods in owners.items() if len(mods) > 1}
+    assert shared == {}, f"names in more than one module's __all__: {shared}"
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
@@ -222,6 +218,37 @@ def test_dataclass_fields_are_read():
         if attr not in loaded
     ]
     assert unread == [], f"dataclass members no library module reads: {unread}"
+
+
+def test_no_dataclass_field_defaults_to_a_bool():
+    # a True or False default prints an answer nobody decided: every flag a
+    # library dataclass carries is passed by the code that decides it
+    def default(value):
+        if isinstance(value, ast.Call):
+            value = next((k.value for k in value.keywords if k.arg == "default"), None)
+        return value.value if isinstance(value, ast.Constant) else None
+
+    found = [
+        f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+        for path in sorted(Path(richardson.__file__).parent.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in ast.unparse(dec) for dec in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(default(stmt.value), bool)
+    ]
+    assert found == [], f"dataclass fields that default to True or False: {found}"
+
+
+def test_library_parses_at_the_declared_python_floor():
+    # the tests run on one interpreter; a construct newer than the floor
+    # pyproject.toml declares would only fail for users of that floor
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, flags=re.M)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = tuple(map(int, floor.groups()))
+    for path in sorted(Path(richardson.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 def test_benchmark_warm_up_builds_what_the_passes_read(monkeypatch):
