@@ -97,7 +97,14 @@ class LieKind:
         m = _KIND_RE.match(text.strip().upper())
         if not m:
             raise DescriptorError(f"cannot parse Lie type {text!r} (expected e.g. 'C3', 'E7')")
-        return cls(m.group(1), int(m.group(2)))
+        family, digits = m.groups()
+        try:
+            rank = int(digits)
+        except ValueError:  # more digits than the interpreter converts to an int
+            raise DescriptorError(
+                f"cannot parse Lie type {family}...: its rank has {len(digits)} digits"
+            ) from None
+        return cls(family, rank)
 
     @property
     def name(self) -> str:

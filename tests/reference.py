@@ -25,7 +25,12 @@ hold the library's one path against it:
 * :func:`so_even_single_odd_partition` and :func:`rank_and_kernel` are
   explicit partition formulas on parts of that domain;
 * :func:`partitions_of` lists every partition of a size, for the sweeps
-  over partition operations.
+  over partition operations, and :func:`brute_transpose` counts a Young
+  diagram's cells column by column, against
+  :func:`richardson.core.transpose`.
+
+:data:`E7_NON_BIRATIONAL` holds the paper's three E7 exceptions, which both
+the acceptance suite and the exceptional-table tests read.
 
 The library's :class:`~richardson.oracle.ExactMatrix` only multiplies and
 ranks; the small matrix helpers the tests need besides (:func:`zeros`,
@@ -50,6 +55,15 @@ from richardson.core import (
     transpose,
 )
 from richardson.oracle import ExactMatrix, NotNilpotentError, _int_rank, _root_vectors
+
+
+# the paper's E7 parabolics with a Richardson element in g_1 whose stabilizer
+# in G is strictly larger than in P
+E7_NON_BIRATIONAL = (
+    (1, 1, 0, 0, 0, 0, 1),
+    (0, 0, 1, 0, 0, 0, 1),
+    (0, 0, 0, 0, 1, 0, 1),
+)
 
 
 class MembershipError(ValueError):
@@ -449,3 +463,14 @@ def partitions_of(total: int, max_part: int | None = None) -> Iterator[tuple[int
     for first in range(cap, 0, -1):
         for rest in partitions_of(total - first, first):
             yield (first,) + rest
+
+
+def brute_transpose(p: Sequence[int]) -> tuple[int, ...]:
+    """The conjugate partition, counting Young-diagram cells column by column."""
+    cells = {(i, j) for i, row in enumerate(p) for j in range(row)}
+    cols = []
+    j = 0
+    while any(c[1] == j for c in cells):
+        cols.append(sum(1 for c in cells if c[1] == j))
+        j += 1
+    return tuple(cols)

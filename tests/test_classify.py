@@ -92,23 +92,6 @@ class TestBirationalByPartition:
     def test_type_a_always(self):
         assert is_birational_by_partition(bv("A3", (2, 1, 1)), (2, 1, 1))
 
-    def test_consistency_with_blocks_up_to_14(self):
-        # the two routes agree on every nice B/C/D vector
-        count = 0
-        for kind in classical_kinds_up_to(("B", "C", "D"), 14):
-            for b in all_block_vectors(kind):
-                if not is_nice(b):
-                    continue
-                lam = richardson_partition(b)
-                assert is_birational_by_partition(b, lam) == is_birational_by_blocks(b), (
-                    kind.name,
-                    b.d,
-                    b.central,
-                    lam,
-                )
-                count += 1
-        assert count == 402  # nice B/C/D vectors with N <= 14
-
 
 class TestSl2:
     def test_type_a(self):
@@ -123,12 +106,6 @@ class TestSl2:
         for kind in classical_kinds_up_to(("B", "C"), 12):
             for b in all_block_vectors(kind):
                 assert is_sl2_given(b) == is_birational_by_blocks(b)
-
-    def test_sl2_implies_birational_up_to_14(self):
-        for kind in classical_kinds_up_to(("A", "B", "C", "D"), 14):
-            for b in all_block_vectors(kind):
-                if is_sl2_given(b):
-                    assert is_birational_by_blocks(b)
 
 
 class TestNormalClosure:
@@ -237,11 +214,6 @@ class TestClassify:
         assert (r.nice, r.birational, r.sl2_given, r.normal) == (True, False, False, OUT_OF_SCOPE)
         assert r.partition == (4, 4, 3, 3)
         assert is_birational_by_partition(b, r.partition) is False
-
-    def test_type_a_birational_field_always_true(self):
-        for kind in classical_kinds_up_to(("A",), 10):
-            for b in all_block_vectors(kind):
-                assert classify(b).birational
 
     def test_report_invariants(self):
         for kind in classical_kinds_up_to(("A", "B", "C", "D"), 9):

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -440,6 +441,15 @@ class TestVerify:
         else:
             assert_usage_error(capsys, "verify", *argv)
 
+    def test_discrepancy_exits_1(self, capsys, monkeypatch):
+        # a closed form that disagrees with the oracle fails the sweep
+        monkeypatch.setattr(richardson.verify, "richardson_partition", lambda b: (b.N,))
+        code, out, _ = run_cli(capsys, "verify", "--kind", "B", "--max-N", "7", "--trials", "1")
+        assert code == 1
+        assert any(line.startswith("FAIL ") for line in out.splitlines())
+        summary = out.splitlines()[-1]
+        assert re.fullmatch(r"checked \d+ nice block vectors \(N <= 7\): [1-9]\d* discrepancies", summary)
+
     def test_smallest_max_n_checks_a1(self, capsys):
         # --kind is case-insensitive, "ALL" included
         for kind in ("A", "ALL"):
@@ -477,6 +487,17 @@ def test_kind_ranks_above_16_exit_2(capsys, monkeypatch):
     assert run_cli(capsys, "enumerate", "--kind", "A16", "--format", "json") == (0, "", "")
     code, out, _ = run_cli(capsys, "classify", "--kind", "C16", "--blocks", "16", "--format", "json")
     assert code == 0 and json.loads(out)["kind"] == "C16"
+
+
+def test_kind_rank_past_the_int_conversion_limit_exit_2(capsys):
+    # int() refuses more than 4300 digits; the rank must still be a usage error
+    for argv in (
+        ("classify", "--kind", "A" + "9" * 5000, "--blocks", "1"),
+        ("enumerate", "--kind", "C" + "1" * 5000),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv[:1]
+        assert err.startswith("error: cannot parse Lie type"), argv[:1]
 
 
 class TestExport:

@@ -18,20 +18,9 @@ from richardson.core import (
     transpose,
 )
 
-from reference import partitions_of
+from reference import brute_transpose, partitions_of
 
 CLASSICAL_RANGES = (("A", 1), ("B", 2), ("C", 2), ("D", 3))
-
-
-def brute_transpose(p):
-    """Independent oracle: count Young-diagram cells column by column."""
-    cells = {(i, j) for i, row in enumerate(p) for j in range(row)}
-    cols = []
-    j = 0
-    while any(c[1] == j for c in cells):
-        cols.append(sum(1 for c in cells if c[1] == j))
-        j += 1
-    return tuple(cols)
 
 
 class TestLieKind:
@@ -40,7 +29,11 @@ class TestLieKind:
         assert LieKind.parse("e7").name == "E7"
         assert LieKind.parse("G2").is_exceptional
 
-    @pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "G3", "H4", "C"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "G3", "H4", "C", "A" + "9" * 5000],
+        ids=lambda bad: bad if len(bad) < 10 else f"A-{len(bad) - 1}-digits",
+    )
     def test_invalid(self, bad):
         with pytest.raises(DescriptorError):
             LieKind.parse(bad)
@@ -80,12 +73,6 @@ class TestPartitionOps:
         # derived value frozen from the brute-force diagram count
         assert brute_transpose((4, 4)) == (2, 2, 2, 2)
         assert transpose((4, 4)) == (2, 2, 2, 2)
-
-    def test_transpose_involution_up_to_30(self):
-        for size in range(31):
-            for p in partitions_of(size):
-                assert transpose(transpose(p)) == p
-                assert transpose(p) == brute_transpose(p)
 
     def test_n_odd(self):
         assert n_odd((3, 3, 1)) == 3
@@ -204,13 +191,6 @@ class TestColoringBlocks:
         c = Coloring(LieKind("D", 4), (0, 0, 1, 0))
         assert c.canonical().u == (0, 0, 0, 1)
         assert blocks_from_coloring(c) == blocks_from_coloring(c.canonical())
-
-    def test_round_trip_all_ranks_up_to_8(self):
-        for fam, lo in CLASSICAL_RANGES:
-            for rank in range(lo, 9):
-                kind = LieKind(fam, rank)
-                for c in all_colorings(kind):
-                    assert coloring_from_blocks(blocks_from_coloring(c)) == c.canonical()
 
     def test_palindrome_sums_to_matrix_size(self):
         for fam, lo in CLASSICAL_RANGES:

@@ -369,25 +369,6 @@ class TestOraclePartition:
                 BlockVector(LieKind("D", 6), tuple(sorted(d)), None)
             )
 
-    def test_kernel_dim_equals_part_count(self):
-        # odd-block rank/kernel formula against the oracle on its domain,
-        # nice or not
-        checked = 0
-        for kind in classical_kinds_up_to(("B", "C", "D"), 12):
-            for b in all_block_vectors(kind):
-                if b.central is None or not b.d:
-                    continue
-                over = max(b.d) - b.central
-                if over > 1 or (over == 1 and kind.family == "C"):
-                    continue
-                lam = oracle_partition_detail(b, trials=2)
-                assert lam is not None, (kind.name, b.d, b.central)
-                rank, kernel = rank_and_kernel(b)
-                assert len(lam) == kernel, (kind.name, b.d, b.central, lam)
-                assert rank == b.N - len(lam)
-                checked += 1
-        assert checked > 100
-
     def test_rank_formula_domain_is_sharp(self):
         # past the domain the generic element really has more rank
         b = BlockVector(LieKind("B", 3), (3,), 1)

@@ -1,4 +1,5 @@
-"""Source-level guards on the library itself."""
+"""Source-level guards on the library, and one on the test modules: shared
+test data is defined once, in ``tests/reference.py``."""
 
 import ast
 import importlib
@@ -12,6 +13,15 @@ import sys
 from pathlib import Path
 
 import richardson
+
+
+def _defined(stmt):
+    """The names a top-level statement defines: a function, a class or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
 def test_no_assert_statements():
@@ -67,6 +77,20 @@ def test_exports_resolve():
     assert stale == [], f"names in __all__ that do not resolve: {stale}"
     shared = {n: mods for n, mods in owners.items() if len(mods) > 1}
     assert shared == {}, f"names in more than one module's __all__: {shared}"
+
+
+def test_shared_test_data_is_defined_once():
+    # a value two test modules define separately drifts apart when one copy
+    # is edited; test functions and classes are exempt, pytest keys them by file
+    owners: dict[str, list[str]] = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for name in _defined(stmt):
+                if not name.startswith(("test_", "Test")):
+                    owners.setdefault(name, []).append(path.name)
+    assert len(owners) > 20
+    shared = {name: files for name, files in owners.items() if len(files) > 1}
+    assert shared == {}, f"module-level names defined in more than one test file: {shared}"
 
 
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
@@ -141,12 +165,6 @@ def test_modules_import_only_lower_layers():
 def test_no_unreferenced_private_helpers():
     # a deletion can orphan the private helper it used: every top-level
     # ``_name`` in the library is read by some other top-level statement
-    def defined(stmt):
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return [stmt.name]
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
-        return [t.id for t in targets if isinstance(t, ast.Name)]
-
     def reads(stmt):
         names = set()
         for node in ast.walk(stmt):
@@ -167,7 +185,7 @@ def test_no_unreferenced_private_helpers():
     orphans = [
         f"{name}:{stmt.lineno} {helper}"
         for i, (name, stmt) in enumerate(statements)
-        for helper in defined(stmt)
+        for helper in _defined(stmt)
         if helper.startswith("_") and not helper.startswith("__")
         and not any(helper in names for j, names in enumerate(read) if j != i)
     ]
