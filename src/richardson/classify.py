@@ -54,6 +54,13 @@ def _odd_values_once(s: tuple[int, ...]) -> bool:
 def is_nice(b: BlockVector) -> bool:
     """Does the parabolic carry a Richardson element in the first graded part?
 
+    Type A reads the given order.  B/C/D read ``b.sorted_d()``: they decide
+    whether the ascending order of the same blocks is nice, a property of
+    the Levi class, not of the given order, which may fail it.  C3 with
+    coloring 0,1,1 is reported nice, yet its g_1, g_2, g_3 = 3, 2, 3 leave
+    ad X: g_1 -> g_2 -> g_3 no room to be onto.  ROADMAP item 1 adds the
+    order-aware test.
+
     Criteria per family (d ascending, c the central block):
       A   - d unimodal (given order);
       Sp  - even blocks: always; odd blocks: d_r <= c and odd sizes distinct;
@@ -127,13 +134,14 @@ def is_sl2_given(b: BlockVector) -> bool:
     triple through some element of the first graded part?
 
     A: unimodal palindromic.  B, C and odd-block D: equivalent to the block
-    birationality test.  Even-block D: additionally all block sizes even.
+    birationality test.  Even-block D: all block sizes even (such a vector
+    has no odd block, so it passes the block birationality test too).
     """
     fam = b.kind.family
     if fam == "A":
         return is_unimodal(b.d) and is_palindromic(b.d)
     if fam == "D" and b.central is None:
-        return is_birational_by_blocks(b) and all(v % 2 == 0 for v in b.d)
+        return all(v % 2 == 0 for v in b.d)
     return is_birational_by_blocks(b)
 
 

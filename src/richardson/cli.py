@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -304,7 +305,15 @@ def _cmd_export(args) -> int:
 _TRIALS_HELP = "oracle samples: up to N, stops at the first certified (default 3)"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` call in the process; ``parse_args`` keeps no state in it.
+
+    The shared parser holds the ``_cmd_*`` functions and ``type=`` callables
+    of its first build, so replacing ``cli._cmd_*`` afterwards (say, with a
+    monkeypatch) does not reach ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="richardson",
         description=(
@@ -364,8 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DescriptorError as exc:
@@ -374,7 +382,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader stopped early (``| head``); point stdout at devnull so the
         # interpreter's final flush does not fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 1
 
 

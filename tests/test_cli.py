@@ -399,6 +399,19 @@ class TestStreaming:
         assert json.loads(first)["kind"] == "A10"
         assert err == b""
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_pipe_in_process_leaks_no_descriptor(self, monkeypatch):
+        before = len(os.listdir("/proc/self/fd"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = open(write_end, "w")
+        monkeypatch.setattr(sys, "stdout", out)
+        try:
+            assert main(["enumerate", "--kind", "A", "--rank", "10", "--format", "json"]) == 1
+        finally:
+            out.close()  # stdout's descriptor now names devnull, so this flush succeeds
+        assert len(os.listdir("/proc/self/fd")) == before
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -470,6 +483,20 @@ def test_sizes_above_16_are_usage_errors(capsys, command, flag, dest):
         parser.parse_args([command, "--kind", "A", flag, "17"])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_one_parser_per_process_keeps_no_state_between_calls(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    built = cli._build_parser.cache_info().misses
+    assert_usage_error(capsys, "enumerate", "--kind", "A", "--rank", "17")
+    assert run_cli(capsys, "enumerate", "--kind", "C", "--rank", "3", "--nice", "--format", "json")[0] == 0
+    argv = ("enumerate", "--kind", "C", "--rank", "3", "--format", "json")
+    shared = run_cli(capsys, *argv)
+    assert cli._build_parser.cache_info().misses == built
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = run_cli(capsys, *argv)
+    assert shared == fresh and fresh[0] == 0
+    assert len(json_lines(fresh[1])) == 8  # --nice from the earlier call left no trace
 
 
 def test_kind_ranks_above_16_exit_2(capsys, monkeypatch):
