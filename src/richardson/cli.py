@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from .classify import ClassificationReport, classify
 from .core import (
-    _EXC_DIM,
+    EXCEPTIONAL_NAMES,
     MIN_RANK,
     BlockVector,
     Coloring,
@@ -31,23 +31,6 @@ from .core import (
 from .exceptional import appendix_records
 from .verify import classical_kinds_up_to, run_verification
 
-RECORD_KEYS = (
-    "kind",
-    "coloring",
-    "blocks",
-    "central",
-    "nice",
-    "birational",
-    "sl2",
-    "normal",
-    "partition",
-    "orbit_dim",
-    "covering_degree",
-    "label",
-)
-
-_EXC_NAMES = tuple(f"{fam}{rank}" for fam, rank in _EXC_DIM)
-
 # largest classical rank for enumerate and matrix size for verify: each step
 # up about doubles the parabolics, and so the running time
 _MAX_SIZE = 16
@@ -57,6 +40,10 @@ def record_schema() -> dict:
     """The shipped JSON schema for one output record."""
     text = resources.files("richardson").joinpath("data/record.schema.json").read_text()
     return json.loads(text)
+
+
+# the record's keys in column order, as the schema states them
+RECORD_KEYS = tuple(record_schema()["required"])
 
 
 def report_to_record(report: ClassificationReport) -> dict:
@@ -233,7 +220,7 @@ def _wanted(args, r: dict) -> bool:
 
 def _cmd_enumerate(args) -> int:
     kind_text = args.kind.strip().upper()
-    if len(kind_text) == 1 and kind_text in "ABCD":
+    if kind_text in MIN_RANK:
         if args.rank is None and args.max_rank is None:
             raise DescriptorError("classical enumeration needs --rank or --max-rank")
         if args.rank is not None and args.max_rank is not None:
@@ -257,8 +244,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     kind_text = args.kind.strip().upper()
-    families = ("A", "B", "C", "D") if kind_text == "ALL" else (kind_text,)
-    if any(f not in ("A", "B", "C", "D") for f in families):
+    families = tuple(MIN_RANK) if kind_text == "ALL" else (kind_text,)
+    if any(f not in MIN_RANK for f in families):
         raise DescriptorError("verify runs on classical kinds: A, B, C, D or all")
     if not list(classical_kinds_up_to(families, args.max_n)):
         raise DescriptorError(f"no {kind_text} kind has matrix size <= {args.max_n}")
@@ -278,8 +265,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     kind_text = args.kind.strip().upper()
-    names = _EXC_NAMES if kind_text == "ALL" else (kind_text,)
-    if any(n not in _EXC_NAMES for n in names):
+    names = EXCEPTIONAL_NAMES if kind_text == "ALL" else (kind_text,)
+    if any(n not in EXCEPTIONAL_NAMES for n in names):
         raise DescriptorError("export covers the exceptional kinds: G2, F4, E6, E7, E8 or all")
     out_path = Path(args.out)
     try:

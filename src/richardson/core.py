@@ -67,9 +67,10 @@ class InvariantError(RuntimeError):
     not a bad input.  Raised instead of ``assert`` so ``python -O`` keeps it."""
 
 
-# smallest rank of each classical family
+# smallest rank of each classical family; its keys are the classical families
 MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _EXC_DIM = {("G", 2): 14, ("F", 4): 52, ("E", 6): 78, ("E", 7): 133, ("E", 8): 248}
+EXCEPTIONAL_NAMES = tuple(f"{fam}{rank}" for fam, rank in _EXC_DIM)
 _KIND_RE = re.compile(r"^([A-G])(\d+)$")
 
 
@@ -112,7 +113,7 @@ class LieKind:
 
     @property
     def is_classical(self) -> bool:
-        return self.family in "ABCD"
+        return self.family in MIN_RANK
 
     @property
     def is_exceptional(self) -> bool:
@@ -235,6 +236,11 @@ class BlockVector:
             return self.d
         mid = (self.central,) if self.central is not None else ()
         return self.d + mid + tuple(reversed(self.d))
+
+    def block_index(self) -> tuple[int, ...]:
+        """The block of each matrix row and column: entry i is the position
+        in :meth:`full_blocks` of the block holding row i."""
+        return tuple(k for k, size in enumerate(self.full_blocks()) for _ in range(size))
 
     def sorted_d(self) -> tuple[int, ...]:
         """Ascending rearrangement of d (canonical conjugate-Levi form)."""

@@ -198,13 +198,13 @@ def _root_vectors(kind: LieKind, keep: Callable[[int, int], bool]) -> list[Exact
 
 
 def _nilradical_keep(b: BlockVector) -> Callable[[int, int], bool]:
-    blk = [k for k, size in enumerate(b.full_blocks()) for _ in range(size)]
+    blk = b.block_index()
     return lambda i, j: blk[i] < blk[j]
 
 
 def levi_dim(b: BlockVector) -> int:
     """dim m: block-diagonal part of g, counted from the realization."""
-    blk = [k for k, size in enumerate(b.full_blocks()) for _ in range(size)]
+    blk = b.block_index()
     return len(_root_vectors(b.kind, lambda i, j: blk[i] == blk[j]))
 
 

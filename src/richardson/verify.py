@@ -43,7 +43,7 @@ def classical_kinds_up_to(families: Sequence[str], max_n: int) -> Iterator[LieKi
 
 
 def run_verification(
-    families: Sequence[str] = ("A", "B", "C", "D"),
+    families: Sequence[str] = tuple(MIN_RANK),
     max_n: int = 12,
     trials: int = 3,
     base_seed: int = 1,

@@ -13,8 +13,16 @@ import pytest
 
 import richardson
 from richardson import cli
+from richardson.classify import classify
 from richardson.cli import RECORD_KEYS, main, record_schema
-from richardson.core import LieKind, all_block_vectors, all_colorings, blocks_from_coloring
+from richardson.core import (
+    BlockVector,
+    Coloring,
+    LieKind,
+    all_block_vectors,
+    all_colorings,
+    blocks_from_coloring,
+)
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +214,20 @@ class TestClassify:
             assert code == 0
             jsonschema.validate(json.loads(out), schema)
 
+    @pytest.mark.parametrize(
+        "parabolic",
+        [
+            BlockVector(LieKind("C", 3), (2,), 2),
+            Coloring(LieKind("E", 8), (0, 0, 1, 0, 0, 0, 1, 0)),
+        ],
+        ids=["C3", "E8"],
+    )
+    def test_record_keys_follow_the_schema(self, parabolic):
+        # the record dict spells the keys out once more; the schema orders them
+        schema = record_schema()
+        keys = list(cli.report_to_record(classify(parabolic)))
+        assert keys == list(RECORD_KEYS) == schema["required"] == list(schema["properties"])
+
     def test_schema_refuses_null_coloring_and_orbit_dim(self, capsys):
         # every report has a coloring and an orbit dimension, so the schema
         # admits no null for either
@@ -278,6 +300,11 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate", "--kind", "D", "--max-rank", "2")
         assert code == 2 and out == ""
         assert "error: rank 2 is below the minimum rank for D" in err
+        # only a whole family name asks for a classical rank sweep
+        for kind in ("AB", ""):
+            code, out, err = run_cli(capsys, "enumerate", "--kind", kind, "--rank", "2")
+            assert code == 2 and out == "", kind
+            assert err.startswith("error: cannot parse Lie type"), kind
 
     @pytest.mark.parametrize(
         "base",

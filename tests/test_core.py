@@ -167,6 +167,17 @@ class TestBlockVectorValidation:
         b = BlockVector(LieKind("D", 5), (1, 4), None)
         assert b.full_blocks() == (1, 4, 4, 1)
 
+    @pytest.mark.parametrize(
+        "name, d, central, index",
+        [
+            ("A4", (1, 2, 2), None, (0, 1, 1, 2, 2)),  # type A keeps d in the given order
+            ("B3", (1,), 5, (0, 1, 1, 1, 1, 1, 2)),
+            ("D4", (2, 2), None, (0, 0, 1, 1, 2, 2, 3, 3)),  # no central block
+        ],
+    )
+    def test_block_index(self, name, d, central, index):
+        assert BlockVector(LieKind.parse(name), d, central).block_index() == index
+
 
 class TestColoringBlocks:
     def test_examples(self):

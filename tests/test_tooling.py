@@ -127,6 +127,46 @@ def test_no_function_level_relative_imports():
     assert found == [], f"function-level relative imports: {found}"
 
 
+def test_no_module_imports_another_modules_private_names():
+    # a ``_name`` belongs to its own module: a library module that imports
+    # one from another module, or reads one off an imported module, holds a
+    # second statement of a fact its owner may change on its own
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = []
+    for path in sorted(Path(richardson.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        library = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").partition(".")[0] == "richardson")
+        ]
+        found += [
+            f"{path.name}:{node.lineno} imports {alias.name}"
+            for node in library
+            for alias in node.names
+            if private(alias.name)
+        ]
+        # ``from . import oracle`` binds a module, whose attributes are its names
+        modules = {
+            alias.asname or alias.name
+            for node in library
+            if node.module in (None, "richardson")
+            for alias in node.names
+        }
+        found += [
+            f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and private(node.attr)
+        ]
+    assert found == [], f"private names used outside their module: {found}"
+
+
 def test_modules_import_only_lower_layers():
     # core < partitions < oracle < exceptional < classify < verify < cli: a
     # module imports only library modules below it, so no cycle can form.
