@@ -34,6 +34,9 @@ from .verify import classical_kinds_up_to, run_verification
 # largest classical rank for enumerate and matrix size for verify: each step
 # up about doubles the parabolics, and so the running time
 _MAX_SIZE = 16
+# the --kind choices of verify and export, as their help and errors print them
+_CLASSICAL_OR_ALL = ", ".join(MIN_RANK) + " or all"
+_EXCEPTIONAL_OR_ALL = ", ".join(EXCEPTIONAL_NAMES) + " or all"
 
 
 def record_schema() -> dict:
@@ -246,7 +249,7 @@ def _cmd_verify(args) -> int:
     kind_text = args.kind.strip().upper()
     families = tuple(MIN_RANK) if kind_text == "ALL" else (kind_text,)
     if any(f not in MIN_RANK for f in families):
-        raise DescriptorError("verify runs on classical kinds: A, B, C, D or all")
+        raise DescriptorError("verify runs on classical kinds: " + _CLASSICAL_OR_ALL)
     if not list(classical_kinds_up_to(families, args.max_n)):
         raise DescriptorError(f"no {kind_text} kind has matrix size <= {args.max_n}")
     result = run_verification(
@@ -267,7 +270,7 @@ def _cmd_export(args) -> int:
     kind_text = args.kind.strip().upper()
     names = EXCEPTIONAL_NAMES if kind_text == "ALL" else (kind_text,)
     if any(n not in EXCEPTIONAL_NAMES for n in names):
-        raise DescriptorError("export covers the exceptional kinds: G2, F4, E6, E7, E8 or all")
+        raise DescriptorError("export covers the exceptional kinds: " + _EXCEPTIONAL_OR_ALL)
     out_path = Path(args.out)
     try:
         if len(names) > 1:
@@ -328,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("enumerate", help="enumerate and filter parabolic families")
-    p.add_argument("--kind", required=True, help="A/B/C/D (with --rank) or G2/F4/E6/E7/E8")
+    kinds = f"{'/'.join(MIN_RANK)} (with --rank) or {'/'.join(EXCEPTIONAL_NAMES)}"
+    p.add_argument("--kind", required=True, help=kinds)
     p.add_argument("--rank", type=_rank, default=None)
     p.add_argument("--max-rank", type=_rank, default=None, dest="max_rank")
     p.add_argument(
@@ -345,14 +349,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="closed forms vs oracle, block vs partition criteria")
-    p.add_argument("--kind", default="all", help="A, B, C, D or all")
+    p.add_argument("--kind", default="all", help=_CLASSICAL_OR_ALL)
     p.add_argument("--max-N", type=_matrix_size, default=12, dest="max_n")
     p.add_argument("--trials", type=_positive_int, default=3, metavar="N", help=_TRIALS_HELP)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("export", help="write the exceptional tables to files")
-    p.add_argument("--kind", required=True, help="G2, F4, E6, E7, E8 or all")
+    p.add_argument("--kind", required=True, help=_EXCEPTIONAL_OR_ALL)
     p.add_argument("--out", required=True, help="output file (directory for --kind all)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_export)

@@ -115,7 +115,7 @@ def dense_basis(kind: LieKind) -> tuple[ExactMatrix, ...]:
 def nilradical_basis(b: BlockVector) -> list[ExactMatrix]:
     """The elements of :func:`dense_basis` whose nonzero entries all lie
     strictly above the block diagonal of ``b``, in its order."""
-    blk = b.block_index()
+    blk = [k for k, size in enumerate(b.full_blocks()) for _ in range(size)]
     return [
         x
         for x in dense_basis(b.kind)
