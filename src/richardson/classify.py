@@ -3,7 +3,8 @@ origin, normality of the orbit closure, covering degree.
 
 :func:`classify` takes a parabolic of any kind.  Exceptional colorings go to
 the tables of ``exceptional``; the rest of this module decides the classical
-kinds from their block vectors.
+kinds from their block vectors.  ``birational`` is derived, not restated:
+nice, and the stabilizer test on the Richardson partition.
 
 All predicates on B/C/D evaluate the ascending rearrangement of the half
 block vector.  Conjugate Levi factors give conjugate Richardson elements, so
@@ -84,27 +85,14 @@ def is_nice(b: BlockVector) -> bool:
 
 
 def is_birational_by_blocks(b: BlockVector) -> bool:
-    """Nice with equal stabilizers (moment map birational), by block criteria.
+    """Nice with equal stabilizers (moment map birational): :func:`is_nice`
+    and the stabilizer test on the Richardson partition.
 
-    True iff (d ascending): A - unimodal; Sp - ascending, all sizes even when
-    a central block is present; SO odd blocks - ascending through the center;
-    SO even blocks - at most one odd size, and then <= d_r - 3 and not the
-    largest.
+    Type A reduces to d unimodal.  The paper states the B/C/D answer as
+    family clauses on the block sizes; ``tests/reference.py`` keeps those
+    clauses and holds this derivation against them.
     """
-    fam = b.kind.family
-    if fam == "A":
-        return is_unimodal(b.d)
-    s, c = b.sorted_d(), b.central
-    if fam == "C":
-        if c is None:
-            return True
-        return (not s or s[-1] <= c) and all(v % 2 == 0 for v in s)
-    if c is not None:  # B always; D odd blocks
-        return not s or s[-1] <= c
-    odd = [v for v in s if v % 2]
-    if not odd:
-        return True
-    return len(odd) == 1 and odd[0] <= s[-1] - 3
+    return is_nice(b) and is_birational_by_partition(b, richardson_partition(b))
 
 
 def is_birational_by_partition(b: BlockVector, lam) -> bool:
@@ -133,9 +121,9 @@ def is_sl2_given(b: BlockVector) -> bool:
     """Is the grading element the semisimple member of a Jacobson-Morozov
     triple through some element of the first graded part?
 
-    A: unimodal palindromic.  B, C and odd-block D: equivalent to the block
-    birationality test.  Even-block D: all block sizes even (such a vector
-    has no odd block, so it passes the block birationality test too).
+    A: unimodal palindromic.  B, C and odd-block D: equivalent to
+    :func:`is_birational_by_blocks`.  Even-block D: all block sizes even
+    (every such vector is birational too).
     """
     fam = b.kind.family
     if fam == "A":
@@ -223,7 +211,10 @@ def _covering_degree_note(b: BlockVector) -> tuple[int | None, str | None]:
 def cross_check(b: BlockVector, lam, certified) -> list[str]:
     """Disagreements on one classical vector: a certified oracle partition
     that differs from ``lam``, and on B/C/D a stabilizer test on ``lam``
-    that differs from the block criteria.  Each message names both values.
+    that differs from :func:`is_birational_by_blocks`.  That function tests
+    the closed-form partition of a nice vector, so the second can differ
+    only on an oracle partition of a non-nice one.  Each message names both
+    values.
     """
     notes = []
     if certified is not None and certified != lam:

@@ -271,7 +271,7 @@ def _cmd_export(args) -> int:
     names = EXCEPTIONAL_NAMES if kind_text == "ALL" else (kind_text,)
     if any(n not in EXCEPTIONAL_NAMES for n in names):
         raise DescriptorError("export covers the exceptional kinds: " + _EXCEPTIONAL_OR_ALL)
-    out_path = Path(args.out)
+    out_path = target = Path(args.out)
     try:
         if len(names) > 1:
             out_path.mkdir(parents=True, exist_ok=True)
@@ -284,7 +284,8 @@ def _cmd_export(args) -> int:
                 _emit(rows, args.format, fh)
             print(f"wrote {len(rows)} rows to {target}")
     except OSError as exc:
-        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # a failed write or close carries no filename: name the target instead
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return 2
     return 0
 

@@ -2,9 +2,8 @@
 
 For every nice classical block vector up to a matrix-size bound this module
 compares the closed-form Richardson partition against the matrix oracle's
-Jordan type (with the genericity certificate dim g^X = dim m), and the block
-birationality criteria against the stabilizer test on the partition, both
-through ``classify.cross_check``.  Zero discrepancies is the acceptance gate.
+Jordan type (with the genericity certificate dim g^X = dim m), through
+``classify.cross_check``.  Zero discrepancies is the acceptance gate.
 """
 
 from __future__ import annotations

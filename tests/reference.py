@@ -22,6 +22,10 @@ hold the library's one path against it:
   (a transpose in type A, dual-partition formulas for B/C/D), defined where
   the order-blind :func:`richardson.classify.is_nice` holds, against the one
   induction formula :func:`richardson.partitions.richardson_partition`;
+* :func:`birational_by_block_clauses` is the paper's B/C/D statement of
+  birationality, clause by clause on the block sizes, against the
+  stabilizer test on the induction partition that
+  :func:`richardson.classify.is_birational_by_blocks` applies;
 * :func:`so_even_single_odd_partition` and :func:`rank_and_kernel` are
   explicit partition formulas on parts of that domain;
 * :func:`partitions_of` lists every partition of a size, for the sweeps
@@ -396,6 +400,30 @@ def partition_bcd(b: BlockVector) -> tuple[int, ...]:
     if sum(lam) != b.N:
         raise InvariantError(f"closed-form partition {lam} of {b} does not sum to N = {b.N}")
     return lam
+
+
+def birational_by_block_clauses(b: BlockVector) -> bool:
+    """The paper's B/C/D criteria for nice with equal stabilizers, family by
+    family, against :func:`richardson.classify.is_birational_by_blocks`.
+
+    True iff (d ascending, c the central block): Sp - no centre, or d_r <= c
+    and all sizes even; SO odd blocks - d_r <= c; SO even blocks - at most
+    one odd size, and then <= d_r - 3.
+    """
+    fam = b.kind.family
+    if fam not in ("B", "C", "D"):
+        raise FormulaDomainError(f"B/C/D only, got {b.kind.name}")
+    s, c = b.sorted_d(), b.central
+    if fam == "C":
+        if c is None:
+            return True
+        return (not s or s[-1] <= c) and all(v % 2 == 0 for v in s)
+    if c is not None:  # B always; D odd blocks
+        return not s or s[-1] <= c
+    odd = [v for v in s if v % 2]
+    if not odd:
+        return True
+    return len(odd) == 1 and odd[0] <= s[-1] - 3
 
 
 # ---------------------------------------------------------------------------

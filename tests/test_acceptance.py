@@ -43,7 +43,13 @@ from richardson.oracle import oracle_partition_detail
 from richardson.partitions import richardson_partition
 from richardson.verify import classical_kinds_up_to
 
-from reference import E7_NON_BIRATIONAL, brute_transpose, partitions_of, rank_and_kernel
+from reference import (
+    E7_NON_BIRATIONAL,
+    birational_by_block_clauses,
+    brute_transpose,
+    partitions_of,
+    rank_and_kernel,
+)
 
 
 def _announce(number, text):
@@ -110,20 +116,21 @@ def test_criterion_4_oracle_equivalence_sweep(capsys):
 
 
 def test_criterion_5_blocks_vs_partition_consistency():
-    checked = 0
-    for kind in classical_kinds_up_to(("B", "C", "D"), 14):
+    # the library derives birationality (nice, then the stabilizer test on
+    # the induction partition); the paper's block clauses are the statement
+    checked = nice = 0
+    for kind in classical_kinds_up_to(("B", "C", "D"), 16):
         for b in all_block_vectors(kind):
-            if not is_nice(b):
-                continue
-            lam = richardson_partition(b)
-            assert is_birational_by_blocks(b) == is_birational_by_partition(b, lam), (
-                kind.name,
-                b.d,
-                b.central,
-            )
+            clauses = birational_by_block_clauses(b)
+            assert is_birational_by_blocks(b) == clauses, (kind.name, b.d, b.central)
+            if is_nice(b):
+                lam = richardson_partition(b)
+                assert is_birational_by_partition(b, lam) == clauses, (kind.name, b.d, b.central)
+                nice += 1
             checked += 1
-    assert checked == 402
-    _announce(5, f"block criteria == partition criteria on {checked} nice B/C/D vectors N<=14")
+    assert (checked, nice) == (1138, 761)
+    _announce(5, f"paper's block clauses == derived birationality on {checked} B/C/D vectors N<=16, "
+              f"== stabilizer test on the {nice} nice ones")
 
 
 def test_criterion_6_spot_partitions():

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import itertools
 import json
@@ -606,3 +607,14 @@ class TestExport:
         assert code == 2 and out == ""
         assert f"error: cannot write {target}" in err
         assert not target.parent.exists()
+
+    def test_failed_write_names_the_target(self, capsys, tmp_path, monkeypatch):
+        # a full disk fails the write or the close, whose OSError has no filename
+        def full_disk(rows, fmt, fh):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "_emit", full_disk)
+        target = tmp_path / "e6.json"
+        code, out, err = run_cli(capsys, "export", "--kind", "E6", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write {target}: No space left on device\n"

@@ -341,3 +341,29 @@ def test_benchmark_warm_up_builds_what_the_passes_read(monkeypatch):
         assert result.problems == [] and result.failed == 0 and result.attempted > 0
         assert realization.cache_info().misses == misses, workload.name
         assert all(len(realization(kind)) == kind.dim for kind in kinds)
+
+
+def test_reference_clauses_run_no_library_criterion():
+    # a reference must not run the code it checks: the paper's birationality
+    # clauses use no name reference.py imports from richardson.classify or
+    # richardson.partitions, neither directly nor through a reference helper
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    checked = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("richardson.classify", "richardson.partitions")
+        for alias in node.names
+    }
+    assert "is_nice" in checked
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo, used = set(), ["birational_by_block_clauses"], set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+                if node.id in functions and node.id not in seen:
+                    todo.append(node.id)
+    assert used & checked == set()
