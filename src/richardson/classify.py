@@ -3,10 +3,13 @@ origin, normality of the orbit closure, covering degree.
 
 :func:`classify` takes a parabolic of any kind.  Exceptional colorings go to
 the tables of ``exceptional``; the rest of this module decides the classical
-kinds from their block vectors.  ``birational`` is derived, not restated:
-nice, and the stabilizer test on the Richardson partition.
+kinds from their block vectors, one pass per vector.  Each fact is derived
+once and handed to the facts that read it: :func:`is_nice` and the
+Richardson partition first, then ``birational`` (nice, and the stabilizer
+test :func:`is_birational_by_partition` on that partition), then sl2
+origin, normality and covering degree from those values.
 
-All predicates on B/C/D evaluate the ascending rearrangement of the half
+All criteria on B/C/D evaluate the ascending rearrangement of the half
 block vector.  Conjugate Levi factors give conjugate Richardson elements, so
 the Richardson orbit and its partition depend only on the multiset of block
 sizes.  Niceness does not: it is a property of the grading, which depends on
@@ -36,15 +39,7 @@ from .core import (
 from .exceptional import exceptional_lookup
 from .partitions import richardson_partition
 
-__all__ = [
-    "is_nice",
-    "is_birational_by_blocks",
-    "is_birational_by_partition",
-    "is_sl2_given",
-    "normal_closure",
-    "covering_degree",
-    "classify",
-]
+__all__ = ["is_nice", "is_birational_by_partition", "classify"]
 
 
 def _odd_values_once(s: tuple[int, ...]) -> bool:
@@ -84,17 +79,6 @@ def is_nice(b: BlockVector) -> bool:
     return c == s[-1] - 1 and (len(s) == 1 or s[-2] < s[-1])
 
 
-def is_birational_by_blocks(b: BlockVector) -> bool:
-    """Nice with equal stabilizers (moment map birational): :func:`is_nice`
-    and the stabilizer test on the Richardson partition.
-
-    Type A reduces to d unimodal.  The paper states the B/C/D answer as
-    family clauses on the block sizes; ``tests/reference.py`` keeps those
-    clauses and holds this derivation against them.
-    """
-    return is_nice(b) and is_birational_by_partition(b, richardson_partition(b))
-
-
 def is_birational_by_partition(b: BlockVector, lam) -> bool:
     """Stabilizer-equality test on the Jordan type of a Richardson element.
 
@@ -117,27 +101,27 @@ def is_birational_by_partition(b: BlockVector, lam) -> bool:
     return n_odd(lam) == 0
 
 
-def is_sl2_given(b: BlockVector) -> bool:
+def _sl2_given(b: BlockVector, birational: bool) -> bool:
     """Is the grading element the semisimple member of a Jacobson-Morozov
     triple through some element of the first graded part?
 
     A: unimodal palindromic.  B, C and odd-block D: equivalent to
-    :func:`is_birational_by_blocks`.  Even-block D: all block sizes even
-    (every such vector is birational too).
+    ``birational``.  Even-block D: all block sizes even (every such vector
+    is birational too).
     """
     fam = b.kind.family
     if fam == "A":
         return is_unimodal(b.d) and is_palindromic(b.d)
     if fam == "D" and b.central is None:
         return all(v % 2 == 0 for v in b.d)
-    return is_birational_by_blocks(b)
+    return birational
 
 
 def _all_equal(seq) -> bool:
     return len(set(seq)) <= 1
 
 
-def normal_closure(b: BlockVector) -> str:
+def _normal_closure(b: BlockVector, birational: bool) -> str:
     """Normality of the Richardson orbit closure.
 
     Type A orbit closures are always normal.  For Sp/SO the answer is only
@@ -146,7 +130,7 @@ def normal_closure(b: BlockVector) -> str:
     fam = b.kind.family
     if fam == "A":
         return NORMAL
-    if not is_birational_by_blocks(b):
+    if not birational:
         return OUT_OF_SCOPE
     s, c = b.sorted_d(), b.central
     if fam == "C":
@@ -173,8 +157,9 @@ def normal_closure(b: BlockVector) -> str:
     return NOT_NORMAL
 
 
-def covering_degree(b: BlockVector) -> int | None:
-    """Degree of the moment map onto its image, where a value is known.
+def _covering_degree(b: BlockVector, nice: bool, birational: bool) -> tuple[int | None, str | None]:
+    """Degree of the moment map onto its image where a value is known, and
+    a note when the formula's value is suppressed.
 
     1 on the birational family (all of type A included).  2 on the orthogonal
     odd-block family whose peak exceeds the center by one.  2^(c/2 - #odd)
@@ -182,20 +167,12 @@ def covering_degree(b: BlockVector) -> int | None:
     formula value of 1 contradicts non-birationality and is suppressed.
     Everything else: unknown (None).
     """
-    degree, _ = _covering_degree_note(b)
-    return degree
-
-
-def _covering_degree_note(b: BlockVector) -> tuple[int | None, str | None]:
-    fam = b.kind.family
-    if fam == "A":
+    if birational:
         return 1, None
-    if not is_nice(b):
+    if not nice:
         return None, None
-    if is_birational_by_blocks(b):
-        return 1, None
     s, c = b.sorted_d(), b.central
-    if fam == "C" and c is not None:
+    if b.kind.family == "C" and c is not None:
         k = 2 ** (c // 2 - sum(1 for v in s if v % 2))
         if k == 1:
             return None, (
@@ -203,31 +180,17 @@ def _covering_degree_note(b: BlockVector) -> tuple[int | None, str | None]:
                 f"symplectic vector d={b.d} central={c}; value suppressed"
             )
         return k, None
-    if fam in "BD" and c is not None and s and s[-1] == c + 1:
+    if b.kind.family in "BD" and c is not None and s and s[-1] == c + 1:
         return 2, None
     return None, None
 
 
-def cross_check(b: BlockVector, lam, certified) -> list[str]:
-    """Disagreements on one classical vector: a certified oracle partition
-    that differs from ``lam``, and on B/C/D a stabilizer test on ``lam``
-    that differs from :func:`is_birational_by_blocks`.  That function tests
-    the closed-form partition of a nice vector, so the second can differ
-    only on an oracle partition of a non-nice one.  Each message names both
-    values.
-    """
-    notes = []
+def cross_check(lam, certified) -> list[str]:
+    """The disagreement of a certified oracle partition with the closed-form
+    partition ``lam``: one message naming both values, or none."""
     if certified is not None and certified != lam:
-        notes.append(f"closed form {lam} != certified oracle {certified}")
-    if lam is not None and b.kind.family != "A":
-        by_partition = is_birational_by_partition(b, lam)
-        by_blocks = is_birational_by_blocks(b)
-        if by_partition != by_blocks:
-            notes.append(
-                f"stabilizer test on {lam} says birational={by_partition}, "
-                f"the block criteria say {by_blocks}"
-            )
-    return notes
+        return [f"closed form {lam} != certified oracle {certified}"]
+    return []
 
 
 def classify(
@@ -249,8 +212,9 @@ def classify(
     The partition is the induction formula on all of type A and on nice
     B/C/D.  On non-nice B/C/D it is the matrix oracle's on request, and it
     stays None when no oracle sample is certified generic.  Where the
-    formula applies, ``with_oracle`` runs the oracle as a referee.  The
-    disagreements :func:`cross_check` finds go into ``diagnostics``.
+    formula applies, ``with_oracle`` runs the oracle as a referee, and
+    :func:`cross_check`'s disagreement goes into ``diagnostics``; so does a
+    note where the stabilizer test passes on a non-nice vector's partition.
     """
     if isinstance(parabolic, BlockVector):
         b, coloring = parabolic, coloring_from_blocks(parabolic)
@@ -263,14 +227,20 @@ def classify(
     kind = b.kind
     nice = is_nice(b)
     partition = richardson_partition(b) if kind.family == "A" or nice else None
-    certified = None
+    birational = kind.family == "A" or (nice and is_birational_by_partition(b, partition))
+    diagnostics = []
     if with_oracle:
         certified = oracle.oracle_richardson_partition(b, trials=trials, base_seed=seed)
-        if partition is None:
+        if partition is not None:
+            diagnostics = cross_check(partition, certified)
+        elif certified is not None:
             partition = certified
-    diagnostics = cross_check(b, partition, certified)
-
-    degree, note = _covering_degree_note(b)
+            if is_birational_by_partition(b, partition):
+                diagnostics.append(
+                    f"stabilizer test on {partition} says birational=True; "
+                    "the vector is not nice, so birational is reported False"
+                )
+    degree, note = _covering_degree(b, nice, birational)
     if note:
         diagnostics.append(note)
 
@@ -278,9 +248,9 @@ def classify(
         coloring=coloring,
         blocks=b,
         nice=nice,
-        birational=kind.family == "A" or is_birational_by_blocks(b),
-        sl2_given=is_sl2_given(b),
-        normal=normal_closure(b),
+        birational=birational,
+        sl2_given=_sl2_given(b, birational),
+        normal=_normal_closure(b, birational),
         partition=partition,
         orbit_dim=kind.dim - oracle.levi_dim(b),
         covering_degree=degree,

@@ -64,7 +64,7 @@ def run_verification(
         label = f"{b.kind.name} d={','.join(map(str, b.d)) or '-'} central={b.central or '-'}"
         lam = richardson_partition(b)
         certified = oracle.oracle_partition_detail(b, trials, base_seed)
-        problems = cross_check(b, lam, certified)
+        problems = cross_check(lam, certified)
         if certified is None:
             problems.append("no sample certified generic (dim g^X != dim m)")
         result.checked += 1

@@ -24,8 +24,8 @@ hold the library's one path against it:
   induction formula :func:`richardson.partitions.richardson_partition`;
 * :func:`birational_by_block_clauses` is the paper's B/C/D statement of
   birationality, clause by clause on the block sizes, against the
-  stabilizer test on the induction partition that
-  :func:`richardson.classify.is_birational_by_blocks` applies;
+  ``birational`` field of :func:`richardson.classify.classify`: nice, and
+  the stabilizer test on the induction partition;
 * :func:`so_even_single_odd_partition` and :func:`rank_and_kernel` are
   explicit partition formulas on parts of that domain;
 * :func:`partitions_of` lists every partition of a size, for the sweeps
@@ -404,7 +404,7 @@ def partition_bcd(b: BlockVector) -> tuple[int, ...]:
 
 def birational_by_block_clauses(b: BlockVector) -> bool:
     """The paper's B/C/D criteria for nice with equal stabilizers, family by
-    family, against :func:`richardson.classify.is_birational_by_blocks`.
+    family, against ``classify(b).birational``.
 
     True iff (d ascending, c the central block): Sp - no centre, or d_r <= c
     and all sizes even; SO odd blocks - d_r <= c; SO even blocks - at most

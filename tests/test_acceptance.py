@@ -14,13 +14,8 @@ kernel dimension.
 
 import time
 
-from richardson.classify import (
-    classify,
-    is_birational_by_blocks,
-    is_birational_by_partition,
-    is_nice,
-    is_sl2_given,
-)
+from richardson import oracle
+from richardson.classify import classify, is_birational_by_partition, is_nice
 from richardson.cli import main
 from richardson.core import (
     BlockVector,
@@ -47,6 +42,7 @@ from reference import (
     E7_NON_BIRATIONAL,
     birational_by_block_clauses,
     brute_transpose,
+    levi_dim_closed_form,
     partitions_of,
     rank_and_kernel,
 )
@@ -115,14 +111,17 @@ def test_criterion_4_oracle_equivalence_sweep(capsys):
         _announce(4, f"{checked} nice vectors N<=12, closed form == oracle, certified ({elapsed:.1f}s)")
 
 
-def test_criterion_5_blocks_vs_partition_consistency():
+def test_criterion_5_blocks_vs_partition_consistency(monkeypatch):
     # the library derives birationality (nice, then the stabilizer test on
-    # the induction partition); the paper's block clauses are the statement
+    # the induction partition); the paper's block clauses are the statement.
+    # No orbit_dim is read, so classify skips the dense Levi count, which
+    # tests/test_oracle.py pins equal to the closed form
+    monkeypatch.setattr(oracle, "levi_dim", levi_dim_closed_form)
     checked = nice = 0
     for kind in classical_kinds_up_to(("B", "C", "D"), 16):
         for b in all_block_vectors(kind):
             clauses = birational_by_block_clauses(b)
-            assert is_birational_by_blocks(b) == clauses, (kind.name, b.d, b.central)
+            assert classify(b).birational == clauses, (kind.name, b.d, b.central)
             if is_nice(b):
                 lam = richardson_partition(b)
                 assert is_birational_by_partition(b, lam) == clauses, (kind.name, b.d, b.central)
@@ -155,7 +154,7 @@ def test_criterion_7_root_system_constants():
     _announce(7, "positive roots 6/24/36/63/120, dims 14/52/78/133/248")
 
 
-def test_criterion_8_property_suites():
+def test_criterion_8_property_suites(monkeypatch):
     # transpose is an involution on all partitions of size <= 30, and agrees
     # with the diagram count
     for size in range(31):
@@ -170,11 +169,15 @@ def test_criterion_8_property_suites():
             for c in all_colorings(kind):
                 assert coloring_from_blocks(blocks_from_coloring(c)) == c.canonical()
 
-    # sl2-given implies birational, exhaustively for N <= 14
-    for kind in classical_kinds_up_to(("A", "B", "C", "D"), 14):
-        for b in all_block_vectors(kind):
-            if is_sl2_given(b):
-                assert is_birational_by_blocks(b)
+    # sl2-given implies nice and birational, exhaustively for N <= 14; no
+    # orbit_dim is read, so classify skips the dense Levi count
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "levi_dim", levi_dim_closed_form)
+        for kind in classical_kinds_up_to(("A", "B", "C", "D"), 14):
+            for b in all_block_vectors(kind):
+                r = classify(b)
+                if r.sl2_given:
+                    assert r.nice and r.birational
 
     # type A reports birational for every block vector
     for kind in classical_kinds_up_to(("A",), 10):

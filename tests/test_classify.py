@@ -1,20 +1,17 @@
+import importlib
 import itertools
 
 import pytest
 
+from richardson import oracle, verify
 from richardson.classify import (
     NORMAL,
     NOT_NORMAL,
     OUT_OF_SCOPE,
     classify,
-    covering_degree,
-    is_birational_by_blocks,
     is_birational_by_partition,
     is_nice,
-    is_sl2_given,
-    normal_closure,
 )
-from richardson import oracle
 from richardson.core import (
     BlockVector,
     ClassificationReport,
@@ -29,11 +26,37 @@ from richardson.core import (
 from richardson.exceptional import exceptional_lookup
 from richardson.oracle import levi_dim
 from richardson.partitions import richardson_partition
-from richardson.verify import classical_kinds_up_to
+from richardson.verify import classical_kinds_up_to, run_verification
+
+from reference import levi_dim_closed_form
+
+# the package's ``classify`` is the function, which hides the module
+classify_module = importlib.import_module("richardson.classify")
 
 
 def bv(kind_text, d, central=None):
     return BlockVector(LieKind.parse(kind_text), tuple(d), central)
+
+
+@pytest.fixture
+def closed_form_levi(monkeypatch):
+    # the tests that read no orbit_dim skip the dense Levi count, which
+    # tests/test_oracle.py pins equal to the closed form
+    monkeypatch.setattr(oracle, "levi_dim", levi_dim_closed_form)
+
+
+def _count_calls(monkeypatch, modules, names):
+    """Replace each name in each module by a wrapper that counts its calls,
+    summed over the modules."""
+    calls = dict.fromkeys(names, 0)
+    for module in modules:
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestNice:
@@ -63,20 +86,22 @@ class TestNice:
         assert not is_nice(bv("D6", (3, 3)))  # repeated odd size
 
 
+@pytest.mark.usefixtures("closed_form_levi")
 class TestBirationalByBlocks:
+    # classify's birational: nice, and the stabilizer test on the partition
     def test_examples(self):
-        assert is_birational_by_blocks(bv("C3", (2,), 2))
-        assert is_birational_by_blocks(bv("D5", (1, 4)))
-        assert not is_birational_by_blocks(bv("D7", (3, 4)))
+        assert classify(bv("C3", (2,), 2)).birational
+        assert classify(bv("D5", (1, 4))).birational
+        assert not classify(bv("D7", (3, 4))).birational
 
     def test_sp_odd_needs_all_even(self):
-        assert not is_birational_by_blocks(bv("C2", (1,), 2))
-        assert is_birational_by_blocks(bv("C4", (2, 2), None))
+        assert not classify(bv("C2", (1,), 2)).birational
+        assert classify(bv("C4", (2, 2), None)).birational
 
     def test_so_even_single_odd_bound(self):
-        assert not is_birational_by_blocks(bv("D3", (3,), None))  # odd equals peak
-        assert is_birational_by_blocks(bv("D6", (1, 5), None)) is False  # two odds
-        assert is_birational_by_blocks(bv("D6", (2, 4), None))
+        assert not classify(bv("D3", (3,), None)).birational  # odd equals peak
+        assert classify(bv("D6", (1, 5), None)).birational is False  # two odds
+        assert classify(bv("D6", (2, 4), None)).birational
 
 
 class TestBirationalByPartition:
@@ -93,33 +118,36 @@ class TestBirationalByPartition:
         assert is_birational_by_partition(bv("A3", (2, 1, 1)), (2, 1, 1))
 
 
+@pytest.mark.usefixtures("closed_form_levi")
 class TestSl2:
     def test_type_a(self):
-        assert is_sl2_given(bv("A3", (1, 2, 1)))
-        assert not is_sl2_given(bv("A5", (1, 2, 3)))  # nice but not palindromic
+        assert classify(bv("A3", (1, 2, 1))).sl2_given
+        assert not classify(bv("A5", (1, 2, 3))).sl2_given  # nice but not palindromic
 
     def test_d_even_excludes_odd_entry(self):
-        assert not is_sl2_given(bv("D5", (1, 4)))
-        assert is_sl2_given(bv("D4", (2, 2)))
+        assert not classify(bv("D5", (1, 4))).sl2_given
+        assert classify(bv("D4", (2, 2))).sl2_given
 
     def test_bc_matches_birational(self):
         for kind in classical_kinds_up_to(("B", "C"), 12):
             for b in all_block_vectors(kind):
-                assert is_sl2_given(b) == is_birational_by_blocks(b)
+                r = classify(b)
+                assert r.sl2_given == r.birational
 
 
+@pytest.mark.usefixtures("closed_form_levi")
 class TestNormalClosure:
     def test_type_a_always_normal(self):
-        assert normal_closure(bv("A4", (2, 1, 2))) == NORMAL
+        assert classify(bv("A4", (2, 1, 2))).normal == NORMAL
 
     def test_sp(self):
-        assert normal_closure(bv("C3", (2,), 2)) == NORMAL  # r=1: all equal
-        assert normal_closure(bv("C4", (2, 2), None)) == NORMAL  # even blocks
-        assert normal_closure(bv("C8", (2, 4), 4)) == NOT_NORMAL
+        assert classify(bv("C3", (2,), 2)).normal == NORMAL  # r=1: all equal
+        assert classify(bv("C4", (2, 2), None)).normal == NORMAL  # even blocks
+        assert classify(bv("C8", (2, 4), 4)).normal == NOT_NORMAL
 
     def test_so_odd_blocks_normal(self):
-        assert normal_closure(bv("B3", (2,), 3)) == NORMAL
-        assert normal_closure(bv("D4", (1,), 6)) == NORMAL
+        assert classify(bv("B3", (2,), 3)).normal == NORMAL
+        assert classify(bv("D4", (1,), 6)).normal == NORMAL
 
     @pytest.mark.parametrize(
         "d,expected",
@@ -142,47 +170,47 @@ class TestNormalClosure:
     )
     def test_so_even_cases(self, d, expected):
         kind = LieKind("D", sum(d))
-        assert normal_closure(BlockVector(kind, d, None)) == expected
+        assert classify(BlockVector(kind, d, None)).normal == expected
 
     def test_out_of_scope_iff_not_birational(self):
         for kind in classical_kinds_up_to(("B", "C", "D"), 12):
             for b in all_block_vectors(kind):
-                assert (normal_closure(b) == OUT_OF_SCOPE) == (not is_birational_by_blocks(b))
+                r = classify(b)
+                assert (r.normal == OUT_OF_SCOPE) == (not r.birational)
 
 
+@pytest.mark.usefixtures("closed_form_levi")
 class TestCoveringDegree:
     def test_birational_is_one(self):
-        assert covering_degree(bv("C3", (2,), 2)) == 1
+        assert classify(bv("C3", (2,), 2)).covering_degree == 1
 
     def test_so_two_fold(self):
-        assert covering_degree(bv("D4", (3,), 2)) == 2
+        assert classify(bv("D4", (3,), 2)).covering_degree == 2
 
     def test_sp_inconsistent_case_suppressed(self):
-        assert covering_degree(bv("C2", (1,), 2)) is None
+        assert classify(bv("C2", (1,), 2)).covering_degree is None
 
     def test_sp_formula(self):
         # central 6, one odd entry: 2^(3-1)
-        assert covering_degree(bv("C6", (1, 2), 6)) == 4
+        assert classify(bv("C6", (1, 2), 6)).covering_degree == 4
         # central 6, two odd entries: 2^(3-2)
-        assert covering_degree(bv("C7", (1, 3), 6)) == 2
+        assert classify(bv("C7", (1, 3), 6)).covering_degree == 2
 
     def test_non_nice_none(self):
-        assert covering_degree(bv("C3", (1, 1), 2)) is None
+        assert classify(bv("C3", (1, 1), 2)).covering_degree is None
 
     def test_type_a(self):
-        assert covering_degree(bv("A4", (2, 1, 2))) == 1
+        assert classify(bv("A4", (2, 1, 2))).covering_degree == 1
 
 
+@pytest.mark.usefixtures("closed_form_levi")
 class TestPermutationInvariance:
     def test_bcd_predicates_sort_internally(self):
-        preds = (
-            is_nice,
-            is_birational_by_blocks,
-            is_sl2_given,
-            normal_closure,
-            covering_degree,
-            richardson_partition,
-        )
+        def answers(b):
+            r = classify(b)
+            fields = (r.nice, r.birational, r.sl2_given, r.normal, r.covering_degree, r.partition)
+            return fields, richardson_partition(b)
+
         for kind in classical_kinds_up_to(("B", "C", "D"), 10):
             for b in all_block_vectors(kind):
                 if len(b.d) < 2:
@@ -192,8 +220,7 @@ class TestPermutationInvariance:
                         other = BlockVector(kind, perm, b.central)
                     except Exception:
                         continue  # type D inner-block constraint
-                    for pred in preds:
-                        assert pred(other) == pred(b)
+                    assert answers(other) == answers(b)
 
 
 class TestClassify:
@@ -244,6 +271,34 @@ class TestClassify:
             assert r.partition == closed
             assert f"closed form {closed} != certified oracle ({b.N},)" in r.diagnostics
             monkeypatch.undo()
+
+
+class TestEachFactOnce:
+    """A classical vector is classified in one pass: nice and the induction
+    partition are derived once and handed to the fields that read them."""
+
+    @pytest.mark.parametrize(
+        "b,with_oracle",
+        [
+            (bv("A3", (1, 2, 1)), False),
+            (bv("B3", (2,), 3), False),
+            (bv("D7", (3, 4)), False),
+            (bv("C3", (1, 1), 2), True),
+        ],
+        ids=["A3", "B3", "D7", "C3-oracle"],
+    )
+    def test_one_classify(self, monkeypatch, b, with_oracle):
+        calls = _count_calls(monkeypatch, [classify_module], ["richardson_partition", "is_nice"])
+        classify(b, with_oracle=with_oracle, trials=1)
+        assert calls["richardson_partition"] <= 1 and calls["is_nice"] == 1, calls
+
+    def test_one_verify_case(self, monkeypatch):
+        modules = [classify_module, verify]
+        calls = _count_calls(monkeypatch, modules, ["richardson_partition", "is_nice"])
+        vectors = sum(1 for kind in classical_kinds_up_to(("B",), 7) for _ in all_block_vectors(kind))
+        result = run_verification(families=("B",), max_n=7, trials=1)
+        assert result.ok and 0 < result.checked < vectors
+        assert calls == {"richardson_partition": result.checked, "is_nice": vectors}
 
 
 class TestOneEntryPoint:

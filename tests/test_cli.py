@@ -166,13 +166,13 @@ class TestClassify:
 
     def test_oracle_note_names_both_answers(self, capsys):
         # B3 (3,) with centre 1 is not nice: the oracle gives the partition,
-        # and the stabilizer test on it says birational where the blocks do not
+        # and the stabilizer test on it passes, but birational needs nice
         argv = ("classify", "--kind", "B3", "--blocks", "3", "--central", "1", "--with-oracle")
         code, out, err = run_cli(capsys, *argv)
         assert code == 0
         assert err == (
-            "note: stabilizer test on (3, 2, 2) says birational=True, "
-            "the block criteria say False\n"
+            "note: stabilizer test on (3, 2, 2) says birational=True; "
+            "the vector is not nice, so birational is reported False\n"
         )
         assert "partition: 3,2,2" in out and "birational: false" in out
 

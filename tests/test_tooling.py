@@ -367,3 +367,33 @@ def test_reference_clauses_run_no_library_criterion():
                 if node.id in functions and node.id not in seen:
                     todo.append(node.id)
     assert used & checked == set()
+
+
+def test_readme_module_map_names_resolve():
+    # a simplification that deletes a function can leave the docs naming it:
+    # every backticked identifier in a row of README's module map names the
+    # package or one of its modules, or resolves attribute by attribute in
+    # the row's module (in the named module if its first part names one)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", readme, flags=re.M)
+    assert [module for module, _ in rows] == [
+        "core", "partitions", "oracle", "exceptional", "classify", "verify", "cli",
+    ]
+    modules = {info.name for info in pkgutil.iter_modules(richardson.__path__)}
+    identifier = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+    checked, missing = 0, []
+    for module, contents in rows:
+        for quoted in re.findall(r"`([^`]+)`", contents):
+            name = quoted.partition("(")[0]  # ``realization(kind)`` names ``realization``
+            if not identifier.fullmatch(name) or name in modules | {"richardson"}:
+                continue
+            parts = name.split(".")
+            home = parts.pop(0) if len(parts) > 1 and parts[0] in modules else module
+            target = importlib.import_module(f"richardson.{home}")
+            for part in parts:
+                target = getattr(target, part, None)
+            checked += 1
+            if target is None:
+                missing.append(f"{module}: {quoted}")
+    assert checked >= 10
+    assert missing == [], f"module-map names that do not resolve: {missing}"
