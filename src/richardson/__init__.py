@@ -4,11 +4,11 @@ Two properties are decided for every parabolic: whether a Richardson element
 exists in the first graded part of the induced Z-grading, and whether the
 moment map of the cotangent bundle of the corresponding flag variety is
 birational onto its image (equal stabilizers in the parabolic and the full
-group).  Classical types are classified by closed forms: niceness by block
-criteria, the Jordan partition by one induction formula that an
-exact-arithmetic matrix oracle verifies, and birationality as niceness plus
-the stabilizer test on that partition.  Exceptional types are served from
-encoded tables with orbit dimensions recomputed from root systems.
+group).  Classical types are decided by closed forms: the Jordan partition
+by one induction formula that an exact-arithmetic matrix oracle verifies,
+niceness as that partition being the generic Jordan type on g_1, and
+birationality as niceness plus the stabilizer test on the partition.
+Exceptional types come from encoded tables, orbit dimensions from roots.
 """
 
 # Each module's __all__ is the one statement of what the package exports.

@@ -2,21 +2,17 @@
 origin, normality of the orbit closure, covering degree.
 
 :func:`classify` takes a parabolic of any kind.  Exceptional colorings go to
-the tables of ``exceptional``; the rest of this module decides the classical
-kinds from their block vectors, one pass per vector.  Each fact is derived
-once and handed to the facts that read it: :func:`is_nice` and the
-Richardson partition first, then ``birational`` (nice, and the stabilizer
-test :func:`is_birational_by_partition` on that partition), then sl2
-origin, normality and covering degree from those values.
+the tables of ``exceptional``.  A classical vector is decided in one pass,
+each fact derived once: the Richardson partition, ``nice`` from it, then
+``birational`` (nice, and :func:`is_birational_by_partition` on that
+partition), sl2 origin, normality and covering degree.
 
-All criteria on B/C/D evaluate the ascending rearrangement of the half
-block vector.  Conjugate Levi factors give conjugate Richardson elements, so
-the Richardson orbit and its partition depend only on the multiset of block
-sizes.  Niceness does not: it is a property of the grading, which depends on
-the block order.  C3 with coloring [0,1,1] (blocks 2,1, no centre) is
-reported nice, yet its graded dimensions g_1, g_2, g_3 = 3, 2, 3 rule that
-out; making ``nice`` order-aware is ROADMAP item 1.  Type A keeps the given
-block order (its criteria are genuinely order sensitive).
+One rule decides ``nice`` on every classical family: the generic Jordan
+type on g_1 (:func:`~richardson.partitions.g1_partition`) equals the
+Richardson partition, well defined as G_0 has finitely many orbits on g_1
+(Vinberg, *Izv. Akad. Nauk SSSR* 40, 1976).  ``sl2`` adds a comparison of
+eigenvalues.  B/C/D read the ascending block order, which the given order
+may fail (C3 coloring 0,1,1); reading the given order is ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -32,51 +28,33 @@ from .core import (
     DescriptorError,
     blocks_from_coloring,
     coloring_from_blocks,
-    is_palindromic,
-    is_unimodal,
     n_odd,
 )
 from .exceptional import exceptional_lookup
-from .partitions import richardson_partition
+from .partitions import g1_partition, richardson_partition
 
 __all__ = ["is_nice", "is_birational_by_partition", "classify"]
 
 
-def _odd_values_once(s: tuple[int, ...]) -> bool:
-    odd = [v for v in s if v % 2]
-    return len(odd) == len(set(odd))
+def _g1_blocks(b: BlockVector) -> tuple[int, ...]:
+    if b.kind.family == "A":
+        return b.d
+    s = b.sorted_d()
+    return s + ((b.central,) if b.central else ()) + s[::-1]
+
+
+def _nice_given(b: BlockVector, lam: tuple[int, ...]) -> bool:
+    return g1_partition(b.kind, _g1_blocks(b)) == lam
 
 
 def is_nice(b: BlockVector) -> bool:
     """Does the parabolic carry a Richardson element in the first graded part?
 
-    Type A reads the given order.  B/C/D read ``b.sorted_d()``: they decide
-    whether the ascending order of the same blocks is nice, a property of
-    the Levi class, not of the given order, which may fail it.  C3 with
-    coloring 0,1,1 is reported nice, yet its g_1, g_2, g_3 = 3, 2, 3 leave
-    ad X: g_1 -> g_2 -> g_3 no room to be onto.  ROADMAP item 1 adds the
-    order-aware test.
-
-    Criteria per family (d ascending, c the central block):
-      A   - d unimodal (given order);
-      Sp  - even blocks: always; odd blocks: d_r <= c and odd sizes distinct;
-      SO  - odd blocks: d_r <= c, or c = d_r - 1 with d_r a strict maximum;
-            even blocks: odd sizes distinct.
-    """
-    fam = b.kind.family
-    if fam == "A":
-        return is_unimodal(b.d)
-    s, c = b.sorted_d(), b.central
-    if fam == "C":
-        if c is None:
-            return True
-        return (not s or s[-1] <= c) and _odd_values_once(s)
-    # B, D (orthogonal)
-    if c is None:
-        return _odd_values_once(s)
-    if not s or s[-1] <= c:
-        return True
-    return c == s[-1] - 1 and (len(s) == 1 or s[-2] < s[-1])
+    Exactly when a generic element of g_1 has the Richardson partition as
+    its Jordan type (Vinberg: G_0 has finitely many orbits on g_1).  Type A
+    reads the given block order, B/C/D the ascending one, which the given
+    order may fail (C3 coloring 0,1,1: type (4,1,1) on g_1; ROADMAP item 1)."""
+    return _nice_given(b, richardson_partition(b))
 
 
 def is_birational_by_partition(b: BlockVector, lam) -> bool:
@@ -101,20 +79,14 @@ def is_birational_by_partition(b: BlockVector, lam) -> bool:
     return n_odd(lam) == 0
 
 
-def _sl2_given(b: BlockVector, birational: bool) -> bool:
-    """Is the grading element the semisimple member of a Jacobson-Morozov
-    triple through some element of the first graded part?
-
-    A: unimodal palindromic.  B, C and odd-block D: equivalent to
-    ``birational``.  Even-block D: all block sizes even (every such vector
-    is birational too).
-    """
-    fam = b.kind.family
-    if fam == "A":
-        return is_unimodal(b.d) and is_palindromic(b.d)
-    if fam == "D" and b.central is None:
-        return all(v % 2 == 0 for v in b.d)
-    return birational
+def _sl2_given(b: BlockVector, lam: tuple[int, ...], nice: bool) -> bool:
+    """Is 2H, for the grading element H, the h of a Jacobson-Morozov triple
+    through g_1?  Exactly when nice and h, with p-1, p-3, ..., 1-p on each
+    part p of ``lam``, has the eigenvalues of 2H: m-1-2j on block j of the
+    m blocks in the order :func:`is_nice` reads."""
+    blocks = _g1_blocks(b)
+    two_h = sorted(len(blocks) - 1 - 2 * j for j, size in enumerate(blocks) for _ in range(size))
+    return nice and sorted(p - 1 - 2 * i for p in lam for i in range(p)) == two_h
 
 
 def _all_equal(seq) -> bool:
@@ -225,9 +197,10 @@ def classify(
     else:
         b, coloring = blocks_from_coloring(parabolic), parabolic
     kind = b.kind
-    nice = is_nice(b)
-    partition = richardson_partition(b) if kind.family == "A" or nice else None
-    birational = kind.family == "A" or (nice and is_birational_by_partition(b, partition))
+    lam = richardson_partition(b)
+    nice = _nice_given(b, lam)
+    partition = lam if kind.family == "A" or nice else None
+    birational = kind.family == "A" or (nice and is_birational_by_partition(b, lam))
     diagnostics = []
     if with_oracle:
         certified = oracle.oracle_richardson_partition(b, trials=trials, base_seed=seed)
@@ -249,7 +222,7 @@ def classify(
         blocks=b,
         nice=nice,
         birational=birational,
-        sl2_given=_sl2_given(b, birational),
+        sl2_given=_sl2_given(b, lam, nice),
         normal=_normal_closure(b, birational),
         partition=partition,
         orbit_dim=kind.dim - oracle.levi_dim(b),

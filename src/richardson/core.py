@@ -305,21 +305,6 @@ def n_odd(p: Sequence[int]) -> int:
     return sum(x % 2 for x in check_partition(p))
 
 
-def is_unimodal(seq: Sequence[int]) -> bool:
-    """True if seq rises (weakly) to a peak and then falls (weakly)."""
-    falling = False
-    for a, b in zip(seq, seq[1:]):
-        if b < a:
-            falling = True
-        elif b > a and falling:
-            return False
-    return True
-
-
-def is_palindromic(seq: Sequence[int]) -> bool:
-    return tuple(seq) == tuple(reversed(seq))
-
-
 # ---------------------------------------------------------------------------
 # coloring <-> blocks
 

@@ -1,4 +1,5 @@
-"""Closed-form Jordan partitions of Richardson elements.
+"""Closed-form Jordan partitions: of Richardson elements, and of generic
+elements of the first graded part.
 
 A Richardson element of a parabolic (a dense-orbit representative of the
 nilradical) lies in the orbit induced from the zero orbit of the Levi
@@ -7,14 +8,18 @@ gives its Jordan type for every classical block vector, nice or not: each
 Levi block GL(d) adds 1 (type A) or 2 (B/C/D) to the first d parts, and the
 B/C/D result is collapsed to the nearest partition of the family
 (Collingwood-McGovern, Lemma 6.3.3).  Conjugate Levis give the same orbit,
-so the answer does not depend on the block order.
+so the answer does not depend on the block order.  The generic Jordan type
+on g_1 (:func:`g1_partition`) does, and nice means the two types agree.
 """
 
 from __future__ import annotations
 
-from .core import BlockVector
+from itertools import accumulate
+from typing import Sequence
 
-__all__ = ["richardson_partition"]
+from .core import BlockVector, DescriptorError, LieKind
+
+__all__ = ["richardson_partition", "g1_partition"]
 
 
 def richardson_partition(b: BlockVector) -> tuple[int, ...]:
@@ -28,12 +33,13 @@ def richardson_partition(b: BlockVector) -> tuple[int, ...]:
     q - 1 by 1.
     """
     fam = b.kind.family
-    step = 1 if fam == "A" else 2
-    lam = [1] * (b.central or 0)
+    c = b.central or 0
+    grow = [0] * max(b.d + (c,))  # grow[k]: added to each of the first k + 1 parts
     for d in b.d:
-        lam += [0] * (d - len(lam))
-        for i in range(d):
-            lam[i] += step
+        grow[d - 1] += 1 if fam == "A" else 2
+    if c:
+        grow[c - 1] += 1
+    lam = list(accumulate(reversed(grow)))[::-1]
     if fam == "A":
         return tuple(lam)
     parity = 1 if fam == "C" else 0
@@ -49,3 +55,37 @@ def richardson_partition(b: BlockVector) -> tuple[int, ...]:
             lam.append(1)
         else:
             lam[j] += 1
+
+
+def g1_partition(kind: LieKind, blocks: Sequence[int]) -> tuple[int, ...]:
+    """Jordan type of a generic X in g_1, for the full block sequence e_0 ...
+    e_{m-1} of a classical kind (palindromic in B/C/D), in the order given.
+
+    X maps V_{j+1} to V_j, so rank X^k sums min(e_i ... e_{i+k}) over i: at
+    each level h, a maximal run of L consecutive blocks of size >= h is a
+    Jordan block of size L.  In C with a central block and in D without,
+    composites through the centre are skew, so term i is also capped by
+    min(e_a ... e_{m-1-a}) rounded down to even, a = max(i, m-1-i-k) <
+    m-1-a: the centred runs at levels h and h + 1, h odd, become two runs
+    of their mean length (length 0 above the top)."""
+    e = tuple(blocks)
+    if kind.family != "A" and e != e[::-1]:
+        raise DescriptorError(f"{kind.name} blocks must be palindromic, got {e}")
+    m = len(e)
+    mid = m // 2 if kind.family in ("C" if m % 2 else "BD") else -1  # -1: no skew rule
+    parts, centred = [], []  # centred: one run length per level, top level first
+    stack, top = [(0, 0)], 0  # (first block, size) of the open runs above a sentinel
+    for j, size in enumerate(e + (0,)):
+        first = j
+        while top > size:
+            first, height = stack.pop()
+            top = stack[-1][1]
+            runs = centred if first <= mid < j else parts
+            runs += [j - first] * (height - (top if top > size else size))
+        if size > top:
+            stack.append((first, size))
+            top = size
+    if centred:
+        centred = centred[::-1] + [0]  # bottom level first, each paired with the next
+        parts += [(a + b) // 2 for a, b in zip(centred[::2], centred[1::2]) for _ in (0, 1)]
+    return tuple(sorted(parts, reverse=True))

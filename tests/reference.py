@@ -22,10 +22,18 @@ hold the library's one path against it:
   (a transpose in type A, dual-partition formulas for B/C/D), defined where
   the order-blind :func:`richardson.classify.is_nice` holds, against the one
   induction formula :func:`richardson.partitions.richardson_partition`;
+* :func:`g1_element` samples a random element of g_1 from the
+  realization's entries one block above the diagonal, whose Jordan type
+  referees :func:`richardson.partitions.g1_partition`;
 * :func:`birational_by_block_clauses` is the paper's B/C/D statement of
   birationality, clause by clause on the block sizes, against the
   ``birational`` field of :func:`richardson.classify.classify`: nice, and
   the stabilizer test on the induction partition;
+* :func:`nice_by_block_clauses` and :func:`sl2_by_block_clauses` are the
+  family-by-family clauses ``classify`` used for ``nice`` and
+  ``sl2_given`` before one rule replaced them (the generic type of g_1
+  against the induction partition, and the eigenvalues of the grading
+  element), kept as the pinned record of the earlier answers;
 * :func:`so_even_single_odd_partition` and :func:`rank_and_kernel` are
   explicit partition formulas on parts of that domain;
 * :func:`partitions_of` lists every partition of a size, for the sweeps
@@ -43,6 +51,7 @@ ranks; the small matrix helpers the tests need besides (:func:`zeros`,
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -58,7 +67,14 @@ from richardson.core import (
     coloring_from_blocks,
     transpose,
 )
-from richardson.oracle import ExactMatrix, NotNilpotentError, _int_rank, _root_vectors
+from richardson.oracle import (
+    COEFF_RANGE,
+    ExactMatrix,
+    NotNilpotentError,
+    _int_rank,
+    _root_vectors,
+    realization,
+)
 
 
 # the paper's E7 parabolics with a Richardson element in g_1 whose stabilizer
@@ -214,6 +230,23 @@ def levi_dim_closed_form(b: BlockVector) -> int:
     if b.kind.family == "C":
         return squares + c * (c + 1) // 2
     return squares + c * (c - 1) // 2
+
+
+def g1_element(b: BlockVector, seed: int) -> ExactMatrix:
+    """A random element of g_1: coefficients in COEFF_RANGE, deterministic in
+    seed, on the realization's elements whose leading position (i, j) lies
+    one block above the diagonal."""
+    rng = random.Random(seed)
+    blk = b.block_index()
+    N = b.N
+    total = [[0] * N for _ in range(N)]
+    for entries in realization(b.kind):
+        lead_i, lead_j, _ = entries[0]
+        if blk[lead_j] - blk[lead_i] == 1:
+            c = rng.randint(*COEFF_RANGE)
+            for i, j, v in entries:
+                total[i][j] += c * v
+    return ExactMatrix(total)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +457,61 @@ def birational_by_block_clauses(b: BlockVector) -> bool:
     if not odd:
         return True
     return len(odd) == 1 and odd[0] <= s[-1] - 3
+
+
+def _is_unimodal(seq: Sequence[int]) -> bool:
+    # rises (weakly) to a peak, then falls (weakly)
+    falling = False
+    for a, b in zip(seq, seq[1:]):
+        if b < a:
+            falling = True
+        elif b > a and falling:
+            return False
+    return True
+
+
+def _odd_values_once(s: Sequence[int]) -> bool:
+    odd = [v for v in s if v % 2]
+    return len(odd) == len(set(odd))
+
+
+def nice_by_block_clauses(b: BlockVector) -> bool:
+    """The family-by-family clauses for ``nice``, against
+    ``classify(b).nice``.
+
+    d ascending in B/C/D, c the central block: A - d unimodal in the given
+    order; Sp - no centre: always; else d_r <= c and odd sizes distinct;
+    SO - odd blocks: d_r <= c, or c = d_r - 1 with d_r a strict maximum;
+    even blocks: odd sizes distinct.
+    """
+    fam = b.kind.family
+    if fam == "A":
+        return _is_unimodal(b.d)
+    s, c = b.sorted_d(), b.central
+    if fam == "C":
+        if c is None:
+            return True
+        return (not s or s[-1] <= c) and _odd_values_once(s)
+    if c is None:
+        return _odd_values_once(s)
+    if not s or s[-1] <= c:
+        return True
+    return c == s[-1] - 1 and (len(s) == 1 or s[-2] < s[-1])
+
+
+def sl2_by_block_clauses(b: BlockVector) -> bool:
+    """The family-by-family clauses for ``sl2_given``, against
+    ``classify(b).sl2_given``.
+
+    A: d unimodal and palindromic.  Even-block D: all block sizes even.
+    B, C and odd-block D: :func:`birational_by_block_clauses`.
+    """
+    fam = b.kind.family
+    if fam == "A":
+        return _is_unimodal(b.d) and b.d == b.d[::-1]
+    if fam == "D" and b.central is None:
+        return all(v % 2 == 0 for v in b.d)
+    return birational_by_block_clauses(b)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from richardson.oracle import levi_dim
 from richardson.partitions import richardson_partition
 from richardson.verify import classical_kinds_up_to, run_verification
 
-from reference import levi_dim_closed_form
+from reference import levi_dim_closed_form, nice_by_block_clauses, sl2_by_block_clauses
 
 # the package's ``classify`` is the function, which hides the module
 classify_module = importlib.import_module("richardson.classify")
@@ -273,9 +273,54 @@ class TestClassify:
             monkeypatch.undo()
 
 
+@pytest.mark.usefixtures("closed_form_levi")
+class TestBlockClauses:
+    """The one rule for nice and sl2 gives the answers the family-by-family
+    clauses gave: the clauses are kept in reference.py as the pin."""
+
+    def test_rules_equal_the_clauses(self):
+        kinds = [*classical_kinds_up_to(("A",), 10), *classical_kinds_up_to(("B", "C", "D"), 16)]
+        checked = 0
+        for kind in kinds:
+            for b in all_block_vectors(kind):
+                r = classify(b)
+                assert (r.nice, r.sl2_given) == (nice_by_block_clauses(b), sl2_by_block_clauses(b)), b
+                checked += kind.family != "A"
+        assert checked == 1138
+
+
+class TestDiagramIsomorphisms:
+    """B2 = C2, D3 = A3 and D4's triality carry each parabolic to an
+    isomorphic one, whose answers must agree: a referee that reads neither
+    the clauses nor the oracle.  The fields not held here still differ on
+    some pairs (ROADMAP item 7)."""
+
+    def test_isomorphic_diagrams_agree(self):
+        def moved(u, target_of):
+            v = [0] * len(u)
+            for i, x in enumerate(u):
+                v[target_of[i]] = x
+            return tuple(v)
+
+        def fields(r):
+            return r.nice, r.sl2_given, r.orbit_dim
+
+        triality = [(p[0], 1, p[1], p[2]) for p in itertools.permutations((0, 2, 3))]
+        cases = [("B2", "C2", (1, 0), fields), ("D3", "A3", (1, 0, 2), fields)]
+        cases += [("D4", "D4", target_of, lambda r: r.orbit_dim) for target_of in triality]
+        checked = 0
+        for source, target, target_of, read in cases:
+            for c in all_colorings(LieKind.parse(source)):
+                image = Coloring(LieKind.parse(target), moved(c.u, target_of))
+                assert read(classify(c)) == read(classify(image)), (source, c.u, target, image.u)
+                checked += 1
+        assert checked == 4 + 8 + 96
+
+
 class TestEachFactOnce:
-    """A classical vector is classified in one pass: nice and the induction
-    partition are derived once and handed to the fields that read them."""
+    """A classical vector is classified in one pass: the induction partition
+    is derived once, and nice is decided once from it (one generic g_1
+    type), then handed to the fields that read them."""
 
     @pytest.mark.parametrize(
         "b,with_oracle",
@@ -288,17 +333,20 @@ class TestEachFactOnce:
         ids=["A3", "B3", "D7", "C3-oracle"],
     )
     def test_one_classify(self, monkeypatch, b, with_oracle):
-        calls = _count_calls(monkeypatch, [classify_module], ["richardson_partition", "is_nice"])
+        names = ["richardson_partition", "g1_partition", "is_nice"]
+        calls = _count_calls(monkeypatch, [classify_module], names)
         classify(b, with_oracle=with_oracle, trials=1)
-        assert calls["richardson_partition"] <= 1 and calls["is_nice"] == 1, calls
+        assert calls == {"richardson_partition": 1, "g1_partition": 1, "is_nice": 0}, calls
 
     def test_one_verify_case(self, monkeypatch):
+        # is_nice derives the partition it decides from, so each vector
+        # costs one partition and each checked case one more
         modules = [classify_module, verify]
         calls = _count_calls(monkeypatch, modules, ["richardson_partition", "is_nice"])
         vectors = sum(1 for kind in classical_kinds_up_to(("B",), 7) for _ in all_block_vectors(kind))
         result = run_verification(families=("B",), max_n=7, trials=1)
         assert result.ok and 0 < result.checked < vectors
-        assert calls == {"richardson_partition": result.checked, "is_nice": vectors}
+        assert calls == {"richardson_partition": vectors + result.checked, "is_nice": vectors}
 
 
 class TestOneEntryPoint:

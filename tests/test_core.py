@@ -12,8 +12,6 @@ from richardson.core import (
     all_colorings,
     blocks_from_coloring,
     coloring_from_blocks,
-    is_palindromic,
-    is_unimodal,
     n_odd,
     transpose,
 )
@@ -109,13 +107,6 @@ class TestPartitionOps:
             transpose((2.7, 1.2))
         with pytest.raises(TypeError):
             n_odd((3.9,))
-
-    def test_unimodal_palindromic(self):
-        assert is_unimodal((1, 2, 2, 1))
-        assert is_unimodal((3, 2, 1))
-        assert not is_unimodal((2, 1, 2))
-        assert is_palindromic((1, 2, 1))
-        assert not is_palindromic((1, 2, 3))
 
 
 class TestBlockVectorValidation:

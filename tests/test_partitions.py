@@ -1,14 +1,26 @@
 import pytest
 
 from richardson.classify import is_nice
-from richardson.core import BlockVector, InvariantError, LieKind, all_block_vectors, n_odd, transpose
-from richardson.partitions import richardson_partition
+from richardson.core import (
+    BlockVector,
+    Coloring,
+    DescriptorError,
+    InvariantError,
+    LieKind,
+    all_block_vectors,
+    blocks_from_coloring,
+    n_odd,
+    transpose,
+)
+from richardson.oracle import jordan_partition
+from richardson.partitions import g1_partition, richardson_partition
 from richardson.verify import classical_kinds_up_to
 
 import reference
 from reference import (
     FormulaDomainError,
     dual_partition_bcd,
+    g1_element,
     partition_bcd,
     partition_type_a,
     rank_and_kernel,
@@ -186,3 +198,36 @@ class TestRankAndKernel:
     def test_refuses_even_blocks(self):
         with pytest.raises(FormulaDomainError):
             rank_and_kernel(BlockVector(LieKind("C", 2), (2,), None))
+
+
+class TestG1Partition:
+    """The closed-form Jordan type of a generic element of g_1, refereed by
+    the Jordan type of a random g_1 sample, which reads no rank formula."""
+
+    def test_equals_a_random_g1_sample(self):
+        kinds = [*classical_kinds_up_to(("A",), 10), *classical_kinds_up_to(("B", "C", "D"), 10)]
+        checked = 0
+        for kind in kinds:
+            for b in all_block_vectors(kind):
+                blocks = b.full_blocks()
+                assert g1_partition(kind, blocks) == jordan_partition(g1_element(b, 1)), b
+                checked += 1
+        assert checked == 1152
+
+    @pytest.mark.parametrize(
+        "kind,u,given,ascending",
+        [
+            ("C3", (0, 1, 1), (4, 1, 1), (4, 2)),
+            ("D4", (0, 1, 1, 1), (5, 1, 1, 1), (5, 3)),
+        ],
+    )
+    def test_order_matters_where_the_induced_type_does_not(self, kind, u, given, ascending):
+        b = blocks_from_coloring(Coloring(LieKind.parse(kind), u))
+        s = b.sorted_d()
+        mid = (b.central,) if b.central else ()
+        assert g1_partition(b.kind, b.full_blocks()) == given
+        assert g1_partition(b.kind, s + mid + s[::-1]) == ascending == richardson_partition(b)
+
+    def test_refuses_a_non_palindromic_sequence(self):
+        with pytest.raises(DescriptorError):
+            g1_partition(LieKind.parse("C3"), (2, 1, 2, 1))
