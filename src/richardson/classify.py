@@ -33,7 +33,7 @@ from .core import (
 from .exceptional import exceptional_lookup
 from .partitions import g1_partition, richardson_partition
 
-__all__ = ["is_nice", "is_birational_by_partition", "classify"]
+__all__ = ["nice_from_partition", "is_nice", "is_birational_by_partition", "classify"]
 
 
 def _g1_blocks(b: BlockVector) -> tuple[int, ...]:
@@ -43,18 +43,20 @@ def _g1_blocks(b: BlockVector) -> tuple[int, ...]:
     return s + ((b.central,) if b.central else ()) + s[::-1]
 
 
-def _nice_given(b: BlockVector, lam: tuple[int, ...]) -> bool:
+def nice_from_partition(b: BlockVector, lam: tuple[int, ...]) -> bool:
+    """Does the parabolic carry a Richardson element in the first graded part,
+    given its Richardson partition ``lam``?
+
+    Exactly when a generic element of g_1 has ``lam`` as its Jordan type
+    (Vinberg: G_0 has finitely many orbits on g_1).  Type A reads the given
+    block order, B/C/D the ascending one, which the given order may fail
+    (C3 coloring 0,1,1: type (4,1,1) on g_1; ROADMAP item 1)."""
     return g1_partition(b.kind, _g1_blocks(b)) == lam
 
 
 def is_nice(b: BlockVector) -> bool:
-    """Does the parabolic carry a Richardson element in the first graded part?
-
-    Exactly when a generic element of g_1 has the Richardson partition as
-    its Jordan type (Vinberg: G_0 has finitely many orbits on g_1).  Type A
-    reads the given block order, B/C/D the ascending one, which the given
-    order may fail (C3 coloring 0,1,1: type (4,1,1) on g_1; ROADMAP item 1)."""
-    return _nice_given(b, richardson_partition(b))
+    """:func:`nice_from_partition` on the Richardson partition of ``b``."""
+    return nice_from_partition(b, richardson_partition(b))
 
 
 def is_birational_by_partition(b: BlockVector, lam) -> bool:
@@ -83,7 +85,7 @@ def _sl2_given(b: BlockVector, lam: tuple[int, ...], nice: bool) -> bool:
     """Is 2H, for the grading element H, the h of a Jacobson-Morozov triple
     through g_1?  Exactly when nice and h, with p-1, p-3, ..., 1-p on each
     part p of ``lam``, has the eigenvalues of 2H: m-1-2j on block j of the
-    m blocks in the order :func:`is_nice` reads."""
+    m blocks in the order :func:`nice_from_partition` reads."""
     blocks = _g1_blocks(b)
     two_h = sorted(len(blocks) - 1 - 2 * j for j, size in enumerate(blocks) for _ in range(size))
     return nice and sorted(p - 1 - 2 * i for p in lam for i in range(p)) == two_h
@@ -183,10 +185,11 @@ def classify(
 
     The partition is the induction formula on all of type A and on nice
     B/C/D.  On non-nice B/C/D it is the matrix oracle's on request, and it
-    stays None when no oracle sample is certified generic.  Where the
-    formula applies, ``with_oracle`` runs the oracle as a referee, and
-    :func:`cross_check`'s disagreement goes into ``diagnostics``; so does a
-    note where the stabilizer test passes on a non-nice vector's partition.
+    stays None when no oracle sample is certified generic.  ``with_oracle``
+    runs the oracle as a referee of the formula on every classical vector,
+    and :func:`cross_check`'s disagreement goes into ``diagnostics``; so
+    does a note where the stabilizer test passes on a non-nice vector's
+    certified partition.
     """
     if isinstance(parabolic, BlockVector):
         b, coloring = parabolic, coloring_from_blocks(parabolic)
@@ -198,15 +201,14 @@ def classify(
         b, coloring = blocks_from_coloring(parabolic), parabolic
     kind = b.kind
     lam = richardson_partition(b)
-    nice = _nice_given(b, lam)
+    nice = nice_from_partition(b, lam)
     partition = lam if kind.family == "A" or nice else None
     birational = kind.family == "A" or (nice and is_birational_by_partition(b, lam))
     diagnostics = []
     if with_oracle:
         certified = oracle.oracle_richardson_partition(b, trials=trials, base_seed=seed)
-        if partition is not None:
-            diagnostics = cross_check(partition, certified)
-        elif certified is not None:
+        diagnostics = cross_check(lam, certified)
+        if partition is None and certified is not None:
             partition = certified
             if is_birational_by_partition(b, partition):
                 diagnostics.append(

@@ -122,11 +122,10 @@ class LieKind:
     @property
     def matrix_size(self) -> int:
         """Size N of the defining matrix realization (classical only)."""
-        n = self.rank
-        sizes = {"A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}
-        if self.family not in sizes:
+        fam = self.family
+        if fam not in MIN_RANK:
             raise UnsupportedKindError(f"{self.name} has no classical matrix realization")
-        return sizes[self.family]
+        return self.rank + 1 if fam == "A" else 2 * self.rank + (fam == "B")
 
     @property
     def dim(self) -> int:
@@ -284,10 +283,10 @@ class ClassificationReport:
 
 
 def check_partition(p: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(operator.index(x) for x in p)
+    p = tuple(map(operator.index, p))
     if any(x < 1 for x in p):
         raise DescriptorError(f"partition parts must be positive, got {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if any(map(operator.lt, p, p[1:])):
         raise DescriptorError(f"partition must be weakly decreasing, got {p}")
     return p
 
@@ -297,7 +296,8 @@ def transpose(p: Sequence[int]) -> tuple[int, ...]:
     p = check_partition(p)
     if not p:
         return ()
-    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
+    # part j of the conjugate counts the parts >= j
+    return tuple(itertools.accumulate(p.count(j) for j in range(p[0], 0, -1)))[::-1]
 
 
 def n_odd(p: Sequence[int]) -> int:

@@ -4,20 +4,19 @@ elements of the first graded part.
 A Richardson element of a parabolic (a dense-orbit representative of the
 nilradical) lies in the orbit induced from the zero orbit of the Levi
 (Collingwood-McGovern, Lemma 7.2.5 and Thm 7.3.3).  One induction formula
-gives its Jordan type for every classical block vector, nice or not: each
-Levi block GL(d) adds 1 (type A) or 2 (B/C/D) to the first d parts, and the
-B/C/D result is collapsed to the nearest partition of the family
-(Collingwood-McGovern, Lemma 6.3.3).  Conjugate Levis give the same orbit,
-so the answer does not depend on the block order.  The generic Jordan type
-on g_1 (:func:`g1_partition`) does, and nice means the two types agree.
+gives its Jordan type for every classical block vector, nice or not: the
+conjugate of the Levi's full block sizes, in B/C/D collapsed to the nearest
+partition of the family (Collingwood-McGovern, Lemma 6.3.3).  Conjugate
+Levis give the same orbit, so the answer does not depend on the block
+order.  The generic Jordan type on g_1 (:func:`g1_partition`) does, and
+nice means the two types agree.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Sequence
 
-from .core import BlockVector, DescriptorError, LieKind
+from .core import BlockVector, DescriptorError, LieKind, transpose
 
 __all__ = ["richardson_partition", "g1_partition"]
 
@@ -25,21 +24,14 @@ __all__ = ["richardson_partition", "g1_partition"]
 def richardson_partition(b: BlockVector) -> tuple[int, ...]:
     """Jordan type of a Richardson element, any classical block vector.
 
-    The orbit induced from the zero orbit of the Levi: start from [1^c] (c
-    the central block), add 1 (type A) or 2 (B/C/D) to the first d parts for
-    each block d, then collapse until every even part (B/D) or odd part (C)
-    has even multiplicity.  A collapse step lowers the last occurrence of
-    the largest offending part q by 1 and raises the first later part below
-    q - 1 by 1.
+    The orbit induced from the zero orbit of the Levi: the conjugate of the
+    Levi's block sizes, in B/C/D collapsed until every even part (B/D) or
+    odd part (C) has even multiplicity.  A collapse step lowers the last
+    occurrence of the largest offending part q by 1 and raises the first
+    later part below q - 1 by 1.
     """
     fam = b.kind.family
-    c = b.central or 0
-    grow = [0] * max(b.d + (c,))  # grow[k]: added to each of the first k + 1 parts
-    for d in b.d:
-        grow[d - 1] += 1 if fam == "A" else 2
-    if c:
-        grow[c - 1] += 1
-    lam = list(accumulate(reversed(grow)))[::-1]
+    lam = list(transpose(sorted(b.full_blocks(), reverse=True)))
     if fam == "A":
         return tuple(lam)
     parity = 1 if fam == "C" else 0

@@ -3,7 +3,9 @@
 For every nice classical block vector up to a matrix-size bound this module
 compares the closed-form Richardson partition against the matrix oracle's
 Jordan type (with the genericity certificate dim g^X = dim m), through
-``classify.cross_check``.  Zero discrepancies is the acceptance gate.
+``classify.cross_check``.  The partition is derived once per vector: it
+decides nice, and a nice vector's is the one checked.  Zero discrepancies
+is the acceptance gate.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from . import oracle  # read at call time, so a replaced oracle function is the one called
-from .classify import cross_check, is_nice
+from .classify import cross_check, nice_from_partition
 from .core import MIN_RANK, LieKind, all_block_vectors
 from .partitions import richardson_partition
 
@@ -50,19 +52,20 @@ def run_verification(
 ) -> VerificationResult:
     """Sweep all nice block vectors with matrix size <= max_n.
 
-    Per case: a sample is certified generic and :func:`cross_check` finds
-    no disagreement.
+    Each vector's Richardson partition is derived once, filtered on by
+    :func:`nice_from_partition`, and checked.  Per case: a sample is
+    certified generic and :func:`cross_check` finds no disagreement.
     """
     result = VerificationResult()
-    nice = (
-        b
+    vectors = (
+        (b, richardson_partition(b))
         for kind in classical_kinds_up_to(families, max_n)
         for b in all_block_vectors(kind)
-        if is_nice(b)
     )
-    for b in nice:
+    for b, lam in vectors:
+        if not nice_from_partition(b, lam):
+            continue
         label = f"{b.kind.name} d={','.join(map(str, b.d)) or '-'} central={b.central or '-'}"
-        lam = richardson_partition(b)
         certified = oracle.oracle_partition_detail(b, trials, base_seed)
         problems = cross_check(lam, certified)
         if certified is None:

@@ -261,14 +261,21 @@ class TestClassify:
         assert is_birational_by_partition(b, r.partition) is False
 
     def test_oracle_referees_the_closed_form(self, monkeypatch):
-        # with_oracle also runs the oracle where the closed form applies, and
-        # a certified value that differs is noted, not silently dropped
-        for b in (bv("C3", (2,), 2), bv("A3", (1, 2, 1))):
-            closed = classify(b).partition
+        # with_oracle runs the oracle as a referee of the closed form on every
+        # classical vector, and a certified value that differs is noted, not
+        # silently dropped; a non-nice vector still reports the certified value
+        cases = [
+            (bv("C3", (2,), 2), (3, 3), True),
+            (bv("A3", (1, 2, 1)), (3, 1), True),
+            (bv("C3", (1, 1), 2), (4, 2), False),
+        ]
+        for b, closed, nice in cases:
+            assert richardson_partition(b) == closed
+            assert classify(b).partition == (closed if nice else None)
             assert classify(b, with_oracle=True, trials=1).diagnostics == ()
             monkeypatch.setattr(oracle, "oracle_richardson_partition", lambda b, **kw: (b.N,))
             r = classify(b, with_oracle=True)
-            assert r.partition == closed
+            assert r.nice == nice and r.partition == (closed if nice else (b.N,))
             assert f"closed form {closed} != certified oracle ({b.N},)" in r.diagnostics
             monkeypatch.undo()
 
@@ -290,10 +297,10 @@ class TestBlockClauses:
 
 
 class TestDiagramIsomorphisms:
-    """B2 = C2, D3 = A3 and D4's triality carry each parabolic to an
-    isomorphic one, whose answers must agree: a referee that reads neither
-    the clauses nor the oracle.  The fields not held here still differ on
-    some pairs (ROADMAP item 7)."""
+    """B2 = C2, D3 = A3, D4's triality and E6's diagram flip carry each
+    parabolic to an isomorphic one, whose answers must agree: a referee that
+    reads neither the clauses nor the oracle.  The fields not held here
+    still differ on some pairs (ROADMAP item 7)."""
 
     def test_isomorphic_diagrams_agree(self):
         def moved(u, target_of):
@@ -308,13 +315,15 @@ class TestDiagramIsomorphisms:
         triality = [(p[0], 1, p[1], p[2]) for p in itertools.permutations((0, 2, 3))]
         cases = [("B2", "C2", (1, 0), fields), ("D3", "A3", (1, 0, 2), fields)]
         cases += [("D4", "D4", target_of, lambda r: r.orbit_dim) for target_of in triality]
+        flip = (5, 1, 4, 3, 2, 0)  # Bourbaki nodes 1 <-> 6 and 3 <-> 5
+        cases.append(("E6", "E6", flip, lambda r: (*fields(r), r.birational, r.label)))
         checked = 0
         for source, target, target_of, read in cases:
             for c in all_colorings(LieKind.parse(source)):
                 image = Coloring(LieKind.parse(target), moved(c.u, target_of))
                 assert read(classify(c)) == read(classify(image)), (source, c.u, target, image.u)
                 checked += 1
-        assert checked == 4 + 8 + 96
+        assert checked == 4 + 8 + 96 + 64
 
 
 class TestEachFactOnce:
@@ -339,14 +348,15 @@ class TestEachFactOnce:
         assert calls == {"richardson_partition": 1, "g1_partition": 1, "is_nice": 0}, calls
 
     def test_one_verify_case(self, monkeypatch):
-        # is_nice derives the partition it decides from, so each vector
-        # costs one partition and each checked case one more
+        # each vector costs one partition, which both decides nice and is
+        # the one a checked case compares with the oracle
         modules = [classify_module, verify]
-        calls = _count_calls(monkeypatch, modules, ["richardson_partition", "is_nice"])
+        calls = _count_calls(monkeypatch, modules, ["richardson_partition", "nice_from_partition"])
+        calls.update(_count_calls(monkeypatch, [classify_module], ["is_nice"]))
         vectors = sum(1 for kind in classical_kinds_up_to(("B",), 7) for _ in all_block_vectors(kind))
         result = run_verification(families=("B",), max_n=7, trials=1)
-        assert result.ok and 0 < result.checked < vectors
-        assert calls == {"richardson_partition": vectors + result.checked, "is_nice": vectors}
+        assert result.ok and 0 < result.checked < vectors == 12
+        assert calls == {"richardson_partition": vectors, "nice_from_partition": vectors, "is_nice": 0}
 
 
 class TestOneEntryPoint:

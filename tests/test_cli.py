@@ -483,8 +483,8 @@ class TestVerify:
             assert_usage_error(capsys, "verify", *argv)
 
     def test_discrepancy_exits_1(self, capsys, monkeypatch):
-        # a closed form that disagrees with the oracle fails the sweep
-        monkeypatch.setattr(richardson.verify, "richardson_partition", lambda b: (b.N,))
+        # an oracle that disagrees with the closed form fails the sweep
+        monkeypatch.setattr(richardson.oracle, "oracle_partition_detail", lambda b, trials, base_seed: (b.N,))
         code, out, _ = run_cli(capsys, "verify", "--kind", "B", "--max-N", "7", "--trials", "1")
         assert code == 1
         assert any(line.startswith("FAIL ") for line in out.splitlines())

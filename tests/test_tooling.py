@@ -344,9 +344,10 @@ def test_benchmark_warm_up_builds_what_the_passes_read(monkeypatch):
 
 
 def test_reference_clauses_run_no_library_criterion():
-    # a reference must not run the code it checks: the paper's birationality
-    # clauses use no name reference.py imports from richardson.classify or
-    # richardson.partitions, neither directly nor through a reference helper
+    # a reference must not run the code it checks: the paper's nice, sl2 and
+    # birationality clauses use no name reference.py imports from
+    # richardson.classify or richardson.partitions, neither directly nor
+    # through a reference helper
     tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
     checked = {
         alias.asname or alias.name
@@ -357,7 +358,8 @@ def test_reference_clauses_run_no_library_criterion():
     }
     assert "is_nice" in checked
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    seen, todo, used = set(), ["birational_by_block_clauses"], set()
+    todo = ["nice_by_block_clauses", "sl2_by_block_clauses", "birational_by_block_clauses"]
+    seen, used = set(), set()
     while todo:
         name = todo.pop()
         seen.add(name)
