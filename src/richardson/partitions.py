@@ -65,19 +65,14 @@ def g1_partition(kind: LieKind, blocks: Sequence[int]) -> tuple[int, ...]:
         raise DescriptorError(f"{kind.name} blocks must be palindromic, got {e}")
     m = len(e)
     mid = m // 2 if kind.family in ("C" if m % 2 else "BD") else -1  # -1: no skew rule
-    parts, centred = [], []  # centred: one run length per level, top level first
-    stack, top = [(0, 0)], 0  # (first block, size) of the open runs above a sentinel
-    for j, size in enumerate(e + (0,)):
-        first = j
-        while top > size:
-            first, height = stack.pop()
-            top = stack[-1][1]
-            runs = centred if first <= mid < j else parts
-            runs += [j - first] * (height - (top if top > size else size))
-        if size > top:
-            stack.append((first, size))
-            top = size
-    if centred:
-        centred = centred[::-1] + [0]  # bottom level first, each paired with the next
-        parts += [(a + b) // 2 for a, b in zip(centred[::2], centred[1::2]) for _ in (0, 1)]
+    parts, centred = [], []  # centred: one run length per level, bottom level first
+    for h in range(1, max(e, default=0) + 1):
+        first = 0  # where the current run of blocks of size >= h starts
+        for j, size in enumerate(e):
+            if size < h:
+                first = j + 1
+            elif j + 1 == m or e[j + 1] < h:  # the run ends at block j
+                (centred if first <= mid <= j else parts).append(j + 1 - first)
+    centred.append(0)  # the level above the top
+    parts += [(a + b) // 2 for a, b in zip(centred[::2], centred[1::2]) for _ in (0, 1)]
     return tuple(sorted(parts, reverse=True))

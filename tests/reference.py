@@ -24,7 +24,9 @@ hold the library's one path against it:
   induction formula :func:`richardson.partitions.richardson_partition`;
 * :func:`g1_element` samples a random element of g_1 from the
   realization's entries one block above the diagonal, whose Jordan type
-  referees :func:`richardson.partitions.g1_partition`;
+  referees :func:`richardson.partitions.g1_partition`, and
+  :func:`g1_partition_by_ranks` derives the same type from the rank of
+  each power, against the level scan there;
 * :func:`birational_by_block_clauses` is the paper's B/C/D statement of
   birationality, clause by clause on the block sizes, against the
   ``birational`` field of :func:`richardson.classify.classify`: nice, and
@@ -247,6 +249,32 @@ def g1_element(b: BlockVector, seed: int) -> ExactMatrix:
             for i, j, v in entries:
                 total[i][j] += c * v
     return ExactMatrix(total)
+
+
+def g1_partition_by_ranks(kind: LieKind, blocks: Sequence[int]) -> tuple[int, ...]:
+    """Jordan type of a generic X in g_1 from the ranks of its powers, for
+    the full block sequence e_0 ... e_{m-1} in the order given.
+
+    rank X^k = R_k, the sum over i of min(e_i ... e_{i+k}); in C with a
+    central block and in D without one, term i is also capped by
+    min(e_a ... e_{m-1-a}) rounded down to even, a = max(i, m-1-i-k), when
+    a < m-1-a.  X has R_{k-1} - R_k Jordan blocks of size >= k.
+    """
+    e = tuple(blocks)
+    m = len(e)
+    skew = kind.family in ("C" if m % 2 else "D")
+    ranks = []
+    for k in range(m + 1):
+        terms = []
+        for i in range(m - k):
+            term = min(e[i : i + k + 1])
+            a = max(i, m - 1 - i - k)
+            if skew and a < m - 1 - a:
+                term = min(term, min(e[a : m - a]) // 2 * 2)
+            terms.append(term)
+        ranks.append(sum(terms))
+    at_least = [r - s for r, s in zip(ranks, ranks[1:])]
+    return transpose([n for n in at_least if n])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from richardson.classify import is_nice
@@ -21,6 +23,7 @@ from reference import (
     FormulaDomainError,
     dual_partition_bcd,
     g1_element,
+    g1_partition_by_ranks,
     partition_bcd,
     partition_type_a,
     rank_and_kernel,
@@ -202,7 +205,8 @@ class TestRankAndKernel:
 
 class TestG1Partition:
     """The closed-form Jordan type of a generic element of g_1, refereed by
-    the Jordan type of a random g_1 sample, which reads no rank formula."""
+    the Jordan type of a random g_1 sample, which reads no rank formula, and
+    by the rank formula itself on every block order."""
 
     def test_equals_a_random_g1_sample(self):
         kinds = [*classical_kinds_up_to(("A",), 10), *classical_kinds_up_to(("B", "C", "D"), 10)]
@@ -231,3 +235,35 @@ class TestG1Partition:
     def test_refuses_a_non_palindromic_sequence(self):
         with pytest.raises(DescriptorError):
             g1_partition(LieKind.parse("C3"), (2, 1, 2, 1))
+
+    def test_equals_the_rank_formula_on_every_order(self):
+        sequences = []
+        for kind in classical_kinds_up_to(("A", "B", "C", "D"), 12):
+            for b in all_block_vectors(kind):
+                if kind.family == "A":
+                    sequences.append((kind, b.d))
+                else:
+                    mid = (b.central,) if b.central else ()
+                    sequences += [(kind, s + mid + s[::-1]) for s in set(permutations(b.d))]
+        for kind, blocks in sequences:
+            assert g1_partition(kind, blocks) == g1_partition_by_ranks(kind, blocks), blocks
+        assert len(sequences) == 4721
+
+    @pytest.mark.parametrize(
+        "kind,d,central,mu",
+        [
+            ("A16", (17,), None, (1,) * 17),
+            ("A16", (1,) * 17, None, (17,)),
+            ("B16", (1,) * 16, 1, (33,)),
+            ("B16", (), 33, (1,) * 33),
+            ("C16", (), 32, (1,) * 32),
+            ("C16", (1,) * 16, None, (32,)),
+            ("D16", (16,), None, (2,) * 16),
+            ("D16", (1,) * 14 + (2,), None, (16, 16)),
+        ],
+    )
+    def test_pins_the_largest_single_and_unit_blocks(self, kind, d, central, mu):
+        b = BlockVector(LieKind.parse(kind), d, central)
+        assert g1_partition(b.kind, b.full_blocks()) == mu == g1_partition_by_ranks(
+            b.kind, b.full_blocks()
+        )
