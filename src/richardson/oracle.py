@@ -9,11 +9,14 @@ is written from those entries into one N x N array, and dense basis
 matrices are built only for :func:`levi_dim` and the tests.  Jordan types
 come from ranks of integer matrix powers via fraction-free (Bareiss)
 elimination: the drops rank X^(k-1) - rank X^k are the transposed Jordan
-type.  The genericity certificate ``dim g^X = dim g - 2 dim n`` reads
-dim g^X off the exact Jordan type of X (Collingwood-McGovern, *Nilpotent
-Orbits in Semisimple Lie Algebras*, Cor. 6.1.4); the right side, which
-equals dim m, is a lower bound for it whenever X lies in the nilradical
-n, with equality exactly when X is a Richardson element.  The rank of ``ad(X)`` on ``g`` gives the same dimension
+type.  In B/C/D each power is skew or symmetric for the algebra's form, so
+only the half of its entries with i + j <= N - 1 is multiplied out and the
+rest is read off the form.  The genericity certificate
+``dim g^X = dim g - 2 dim n`` reads dim g^X off the exact Jordan type of X
+(Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie Algebras*,
+Cor. 6.1.4); the right side, which equals dim m, is a lower bound for it
+whenever X lies in the nilradical n, with equality exactly when X is a
+Richardson element.  The rank of ``ad(X)`` on ``g`` gives the same dimension
 independently; it lives with the other cross-checks in ``tests/reference.py``.
 No floating point is used anywhere.
 """
@@ -120,9 +123,18 @@ def _int_rank(m: list[list[int]]) -> int:
 # the sparse realization (skew-diagonal forms, upper-triangular Borel)
 
 
-def _sign(N: int, i: int) -> int:
-    # symplectic form signs (0-based): +1 in the first half, -1 in the second
-    return 1 if i < N // 2 else -1
+@lru_cache(maxsize=None)
+def _form(kind: LieKind) -> tuple[int, ...] | None:
+    """Signs s_i of the skew-diagonal form F[i][N-1-i] = s_i of a B/C/D kind,
+    or None in type A: 1 in B/D; in C +1 for i < N/2 and -1 after.
+
+    X lies in the algebra of F exactly when X[N-1-j][N-1-i] = -s_i s_j X[i][j]
+    for all i, j.
+    """
+    if kind.family == "A":
+        return None
+    N = kind.matrix_size
+    return tuple(1 if kind.family != "C" or i < N // 2 else -1 for i in range(N))
 
 
 def _grid_entries(kind: LieKind) -> Iterator[tuple[tuple[int, int, int], ...]]:
@@ -135,17 +147,17 @@ def _grid_entries(kind: LieKind) -> Iterator[tuple[tuple[int, int, int], ...]]:
     first of (i, j) and its mirror (N-1-j, N-1-i).
     """
     N = kind.matrix_size
-    fam = kind.family
+    s = _form(kind)
     for i in range(N):
         for j in range(N):
-            if fam != "A":
+            if s is not None:
                 pi, pj = N - 1 - j, N - 1 - i
                 if (pi, pj) < (i, j):  # the mirror came first and yielded both
                     continue
+                v = -(s[i] * s[j])
                 if (i, j) != (pi, pj):
-                    v = -(_sign(N, i) * _sign(N, j)) if fam == "C" else -1
                     yield ((i, j, 1), (pi, pj, v))
-                elif fam == "C":  # skew diagonal: zero in so, E_ij in sp
+                elif v == 1:  # skew diagonal: zero in so (v = -1), E_ij in sp
                     yield ((i, j, 1),)
             elif i != j:
                 yield ((i, j, 1),)
@@ -228,19 +240,54 @@ def generic_nilradical_element(b: BlockVector, seed: int) -> ExactMatrix:
 # Jordan types and centralizers
 
 
-def jordan_partition(x: ExactMatrix) -> tuple[int, ...]:
+def _half_product(power: ExactMatrix, x: ExactMatrix, form: Sequence[int], sign: int) -> ExactMatrix:
+    """X^k = ``power @ x`` for ``power`` = X^(k-1) and X skew for ``form``:
+    only the entries with i + j <= N - 1 are multiplied out, and each mirror
+    entry (N-1-j, N-1-i) is ``sign * s_i * s_j`` times its partner, with
+    ``sign`` = (-1)^k."""
+    N = power.rows
+    cols = list(zip(*x.data))
+    out = [[0] * N for _ in range(N)]
+    for i, row in enumerate(power.data):
+        si = sign * form[i]
+        for j in range(N - i):
+            v = sum(a * b for a, b in zip(row, cols[j]))
+            out[N - 1 - j][N - 1 - i] = si * form[j] * v
+            out[i][j] = v  # on the skew diagonal the entry is its own mirror
+    return ExactMatrix(out)
+
+
+def jordan_partition(x: ExactMatrix, form: Sequence[int] | None = None) -> tuple[int, ...]:
     """Jordan type of a nilpotent matrix from the exact ranks of its powers.
 
     X has rank X^(k-1) - rank X^k Jordan blocks of size >= k, so the rank
     drops are the transposed Jordan type.
+
+    ``form`` is the signs s_i of a skew-diagonal form that X is skew for
+    (X[N-1-j][N-1-i] = -s_i s_j X[i][j], as :func:`_form` gives for a B/C/D
+    kind), or None.  The mirror Y -> Y[N-1-j][N-1-i] reverses products, so
+    X^k[N-1-j][N-1-i] = (-1)^k s_i s_j X^k[i][j]: with a form, each power is
+    multiplied out only on the entries with i + j <= N - 1 and the rest are
+    read off the form.  X itself is checked first; one that is not skew for
+    the form raises :class:`InvariantError`.
     """
     if x.rows != x.cols:
         raise ValueError("square matrix required")
-    ranks = [x.rows]
+    N, d = x.rows, x.data
+    if form is not None and (
+        len(form) != N
+        or any(
+            d[N - 1 - j][N - 1 - i] != -form[i] * form[j] * v
+            for i, row in enumerate(d)
+            for j, v in enumerate(row)
+        )
+    ):
+        raise InvariantError(f"the {N} x {N} matrix is not skew for the form {tuple(form)}")
+    ranks = [N]
     power = x
-    for k in range(x.rows):
+    for k in range(N):
         if k:
-            power = power @ x
+            power = power @ x if form is None else _half_product(power, x, form, (-1) ** (k + 1))
         ranks.append(power.rank())
         if ranks[-1] == 0:
             break
@@ -295,8 +342,9 @@ def oracle_partition_detail(
     if trials < 1:
         raise ValueError("trials must be positive")
     target = b.kind.dim - 2 * sum(1 for _ in _root_entries(b.kind, _nilradical_keep(b)))
+    form = _form(b.kind)
     for t in range(trials):
-        lam = jordan_partition(generic_nilradical_element(b, base_seed + t))
+        lam = jordan_partition(generic_nilradical_element(b, base_seed + t), form)
         if certified_centralizer_dim(b.kind, lam, target)[1]:
             return lam
     return None

@@ -28,6 +28,7 @@ from reference import (
     combine,
     contains,
     dense_basis,
+    form_matrix,
     identity,
     is_zero,
     levi_blocks_from_matrices,
@@ -41,6 +42,12 @@ from reference import (
 
 def jordan_block(n):
     return ExactMatrix([[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+
+
+def form_signs(kind):
+    """Signs s_i of the reference form F[i][N-1-i] = s_i, or None in type A."""
+    form = form_matrix(kind)
+    return None if form is None else tuple(form.data[i][form.rows - 1 - i] for i in range(form.rows))
 
 
 def direct_sum(a, b):
@@ -238,9 +245,16 @@ class TestReferencePins:
             if is_nice(b)
         ]
         assert (len(non_nice), len(nice)) == (62, 376)
+        form_aware = 0
         for b in non_nice + nice:
             x = generic_nilradical_element(b, 1)
-            assert jordan_partition(x) == row_space_jordan_partition(x), (b.kind.name, b.d, b.central)
+            want = row_space_jordan_partition(x)
+            assert jordan_partition(x) == want, (b.kind.name, b.d, b.central)
+            form = form_signs(b.kind)
+            if form is not None:
+                assert jordan_partition(x, form) == want, (b.kind.name, b.d, b.central)
+                form_aware += 1
+        assert form_aware == 62 + 64  # the non-nice and the B/C/D nice vectors
 
     def test_row_space_chain_refuses_non_nilpotent(self):
         with pytest.raises(NotNilpotentError, match="stalled at 1"):
@@ -280,6 +294,79 @@ class TestJordan:
     def test_c3_generic(self):
         lam = oracle_richardson_partition(BlockVector(LieKind("C", 3), (2,), 2), trials=3)
         assert lam == (3, 3)
+
+
+class TestFormHalf:
+    # jordan_partition multiplies a B/C/D power out only where i + j <= N - 1
+    # and reads the rest off the form; these pin the identity it rests on and
+    # the two calls against each other
+    def test_powers_obey_the_form_identity(self):
+        # X^k[N-1-j][N-1-i] = (-1)^k s_i s_j X^k[i][j], with the powers taken
+        # by ExactMatrix @ and the signs from the reference form
+        vectors = 0
+        for kind in classical_kinds_up_to(("B", "C", "D"), 10):
+            N, s = kind.matrix_size, form_signs(kind)
+            for b in all_block_vectors(kind):
+                x = generic_nilradical_element(b, 1)
+                power = x
+                for k in range(1, N + 1):
+                    for i in range(N):
+                        for j in range(N):
+                            want = (-1) ** k * s[i] * s[j] * power.data[i][j]
+                            assert power.data[N - 1 - j][N - 1 - i] == want, (kind.name, b.d, b.central, k)
+                    power = power @ x
+                assert is_zero(power)
+                vectors += 1
+        assert vectors == 130
+
+    def test_library_form_is_the_reference_form(self):
+        # the signs the power product reads are the reference form's, and
+        # every realization entry has its mirror at -s_i s_j times its value
+        for kind in classical_kinds_up_to(("A", "B", "C", "D"), 16):
+            s = form_signs(kind)
+            assert oracle._form(kind) == s, kind.name
+            if s is None:
+                continue
+            N = kind.matrix_size
+            for entries in realization(kind):
+                values = {(i, j): v for i, j, v in entries}
+                for (i, j), v in values.items():
+                    assert values.get((N - 1 - j, N - 1 - i), 0) == -s[i] * s[j] * v, (kind.name, entries)
+
+    def test_form_aware_call_equals_form_free_call_up_to_12(self):
+        vectors = [b for kind in classical_kinds_up_to(("B", "C", "D"), 12) for b in all_block_vectors(kind)]
+        assert len(vectors) == 274
+        for b in vectors:
+            x = generic_nilradical_element(b, 1)
+            assert jordan_partition(x, form_signs(b.kind)) == jordan_partition(x), (b.kind.name, b.d, b.central)
+
+    def test_oracle_passes_the_kinds_form(self, monkeypatch):
+        # the certified oracle takes the form-half product in B/C/D and the
+        # full product in type A
+        seen = []
+        plain = oracle.jordan_partition
+        monkeypatch.setattr(oracle, "jordan_partition", lambda x, form=None: seen.append(form) or plain(x, form))
+        for name in ("A3", "B3", "C3", "D4"):
+            kind = LieKind.parse(name)
+            oracle_partition_detail(all_block_vectors(kind)[0], trials=1)
+            assert seen.pop() == form_signs(kind), name
+
+    @pytest.mark.parametrize(
+        "b,form",
+        [
+            (BlockVector(LieKind("C", 3), (2,), 2), (1,) * 6),
+            (BlockVector(LieKind("A", 3), (1, 1, 1, 1)), (1, 1, -1, -1)),
+        ],
+        ids=["C3-with-BD-signs", "A3-with-C-signs"],
+    )
+    def test_element_not_skew_for_the_form_raises(self, b, form, monkeypatch):
+        powers = []
+        monkeypatch.setattr(oracle, "_half_product", lambda *args: powers.append(args))
+        monkeypatch.setattr(ExactMatrix, "rank", lambda self: powers.append(self))
+        x = generic_nilradical_element(b, 1)
+        with pytest.raises(InvariantError, match="not skew for the form"):
+            jordan_partition(x, form)
+        assert powers == []
 
 
 class TestCentralizer:

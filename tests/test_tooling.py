@@ -1,9 +1,11 @@
-"""Source-level guards on the library, and one on the test modules: shared
-test data is defined once, in ``tests/reference.py``."""
+"""Source-level guards on the library, one on the test modules (shared test
+data is defined once, in ``tests/reference.py``) and one on the layout of the
+checked-in ``BENCH_*.json`` files."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import re
@@ -399,3 +401,31 @@ def test_readme_module_map_names_resolve():
                 missing.append(f"{module}: {quoted}")
     assert checked >= 10
     assert missing == [], f"module-map names that do not resolve: {missing}"
+
+
+def test_bench_files_name_benchmark_metrics():
+    # a speed claim cites a checked-in BENCH file; one in another layout, or
+    # one naming a workload or metric the benchmark does not declare, cannot
+    # be read against BENCHMARK.json
+    root = Path(__file__).parents[1]
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    keys = {"title", "claim", "command", "parent", "change", "method", "machine", "summary", "runs"}
+    paths = sorted(root.glob("BENCH_*.json"))
+    assert paths, "no BENCH file at the repository root"
+    problems = []
+    for path in paths:
+        bench = json.loads(path.read_text())
+        if missing := keys - bench.keys():
+            problems.append(f"{path.name}: missing keys {sorted(missing)}")
+            continue
+        for workload, entry in bench["summary"].items():
+            if workload not in workloads:
+                problems.append(f"{path.name}: unknown workload {workload}")
+            problems += [
+                f"{path.name}: {workload} reports {name}, not an end_to_end metric"
+                for name in entry["metrics"]
+                if name not in metrics
+            ]
+    assert problems == [], problems
