@@ -2,16 +2,16 @@
 algebras, generic nilradical elements, and exact-arithmetic Jordan types
 and centralizer dimensions.
 
-Everything here is exact and runs on one integer matrix type.  The
-realization of each classical kind is built once and cached as a sparse
-basis, the nonzero entries of each element: a generic nilradical element
-is written from those entries into one N x N array, and dense basis
-matrices are built only for :func:`levi_dim` and the tests.  Jordan types
-come from ranks of integer matrix powers via fraction-free (Bareiss)
-elimination: the drops rank X^(k-1) - rank X^k are the transposed Jordan
-type.  In B/C/D each power is skew or symmetric for the algebra's form, so
-only the half of its entries with i + j <= N - 1 is multiplied out and the
-rest is read off the form.  The genericity certificate
+Everything here is exact, on Python integers.  The realization of each
+classical kind is built once and cached as a sparse basis, the nonzero
+entries of each element: a generic nilradical element is written from those
+entries into one N x N array, and dense basis matrices are built only for
+:func:`levi_dim` and the tests.  Jordan types come from ranks of integer
+matrix powers via fraction-free (Bareiss) elimination: the drops
+rank X^(k-1) - rank X^k are the transposed Jordan type.  A B/C/D power is
+skew or symmetric for the algebra's form and stays plain list rows: only its
+entries with i + j <= N - 1 are multiplied out, each a C-level dot product,
+and the rest is read off the form.  The genericity certificate
 ``dim g^X = dim g - 2 dim n`` reads dim g^X off the exact Jordan type of X
 (Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie Algebras*,
 Cor. 6.1.4); the right side, which equals dim m, is a lower bound for it
@@ -240,21 +240,22 @@ def generic_nilradical_element(b: BlockVector, seed: int) -> ExactMatrix:
 # Jordan types and centralizers
 
 
-def _half_product(power: ExactMatrix, x: ExactMatrix, form: Sequence[int], sign: int) -> ExactMatrix:
-    """X^k = ``power @ x`` for ``power`` = X^(k-1) and X skew for ``form``:
-    only the entries with i + j <= N - 1 are multiplied out, and each mirror
-    entry (N-1-j, N-1-i) is ``sign * s_i * s_j`` times its partner, with
-    ``sign`` = (-1)^k."""
-    N = power.rows
-    cols = list(zip(*x.data))
+def _half_product(
+    power: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], form: Sequence[int], sign: int
+) -> list[list[int]]:
+    """Rows of X^k from the rows of ``power`` = X^(k-1) and the columns of X
+    skew for ``form``: each entry with i + j <= N - 1 is one C-level dot
+    product, and its mirror (N-1-j, N-1-i) is ``sign * s_i * s_j`` times it,
+    with ``sign`` = (-1)^k."""
+    N = len(power)
     out = [[0] * N for _ in range(N)]
-    for i, row in enumerate(power.data):
+    for i, row in enumerate(power):
         si = sign * form[i]
         for j in range(N - i):
-            v = sum(a * b for a, b in zip(row, cols[j]))
+            v = sum(map(operator.mul, row, cols[j]))
             out[N - 1 - j][N - 1 - i] = si * form[j] * v
             out[i][j] = v  # on the skew diagonal the entry is its own mirror
-    return ExactMatrix(out)
+    return out
 
 
 def jordan_partition(x: ExactMatrix, form: Sequence[int] | None = None) -> tuple[int, ...]:
@@ -284,11 +285,11 @@ def jordan_partition(x: ExactMatrix, form: Sequence[int] | None = None) -> tuple
     ):
         raise InvariantError(f"the {N} x {N} matrix is not skew for the form {tuple(form)}")
     ranks = [N]
-    power = x
+    power, cols = (x, None) if form is None else (d, list(zip(*d)))
     for k in range(N):
         if k:
-            power = power @ x if form is None else _half_product(power, x, form, (-1) ** (k + 1))
-        ranks.append(power.rank())
+            power = power @ x if form is None else _half_product(power, cols, form, (-1) ** (k + 1))
+        ranks.append(power.rank() if form is None else _int_rank(list(map(list, power))))
         if ranks[-1] == 0:
             break
     if ranks[-1]:

@@ -340,6 +340,41 @@ class TestFormHalf:
             x = generic_nilradical_element(b, 1)
             assert jordan_partition(x, form_signs(b.kind)) == jordan_partition(x), (b.kind.name, b.d, b.central)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_form_aware_call_equals_form_free_call_on_classify_oracle_inputs(self, seed):
+        # the 377 non-nice B/C/D vectors with N <= 16 that classify --with-oracle
+        # samples: the list-row half product against ExactMatrix @ and the
+        # row-space chain, on the N = 13..16 matrices the up-to-12 test stops short of
+        vectors = [
+            b
+            for kind in classical_kinds_up_to(("B", "C", "D"), 16)
+            for b in all_block_vectors(kind)
+            if not is_nice(b)
+        ]
+        assert len(vectors) == 377
+        for b in vectors:
+            x = generic_nilradical_element(b, seed)
+            want = row_space_jordan_partition(x)
+            assert jordan_partition(x, form_signs(b.kind)) == jordan_partition(x) == want, (b.kind.name, b.d, b.central)
+
+    @pytest.mark.parametrize(
+        "b",
+        [BlockVector(LieKind("C", 6), (1, 1, 3), 2), BlockVector(LieKind("D", 8), (1, 3, 3), 2)],
+        ids=["C6", "D8"],
+    )
+    def test_form_aware_call_builds_no_matrix_and_ranks_each_power_once(self, b, monkeypatch):
+        # each B/C/D power stays list rows: no ExactMatrix per power, and one
+        # exact rank per power X^1 .. X^lam_1
+        x, form = generic_nilradical_element(b, 1), form_signs(b.kind)
+        lam = row_space_jordan_partition(x)
+        built, ranked = [], []
+        init, rank = ExactMatrix.__init__, oracle._int_rank
+        monkeypatch.setattr(ExactMatrix, "__init__", lambda self, data: built.append(data) or init(self, data))
+        monkeypatch.setattr(oracle, "_int_rank", lambda m: ranked.append(len(m)) or rank(m))
+        assert jordan_partition(x, form) == lam
+        assert built == []
+        assert ranked == [b.kind.matrix_size] * lam[0]
+
     def test_oracle_passes_the_kinds_form(self, monkeypatch):
         # the certified oracle takes the form-half product in B/C/D and the
         # full product in type A
@@ -363,6 +398,7 @@ class TestFormHalf:
         powers = []
         monkeypatch.setattr(oracle, "_half_product", lambda *args: powers.append(args))
         monkeypatch.setattr(ExactMatrix, "rank", lambda self: powers.append(self))
+        monkeypatch.setattr(oracle, "_int_rank", lambda m: powers.append(m))
         x = generic_nilradical_element(b, 1)
         with pytest.raises(InvariantError, match="not skew for the form"):
             jordan_partition(x, form)
