@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import BlockVector, DescriptorError, LieKind, transpose
+from .core import BlockVector, DescriptorError, LieKind
 
 __all__ = ["richardson_partition", "g1_partition"]
 
@@ -31,7 +31,8 @@ def richardson_partition(b: BlockVector) -> tuple[int, ...]:
     later part below q - 1 by 1.
     """
     fam = b.kind.family
-    lam = list(transpose(sorted(b.full_blocks(), reverse=True)))
+    blocks = b.full_blocks()  # validated by BlockVector: positive ints
+    lam = [sum(e >= h for e in blocks) for h in range(1, max(blocks) + 1)]  # the conjugate
     if fam == "A":
         return tuple(lam)
     parity = 1 if fam == "C" else 0

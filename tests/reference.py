@@ -73,7 +73,7 @@ from richardson.oracle import (
     COEFF_RANGE,
     ExactMatrix,
     NotNilpotentError,
-    _int_rank,
+    _pivot_rows,
     _root_vectors,
     realization,
 )
@@ -185,7 +185,7 @@ def centralizer_dim(kind: LieKind, x: ExactMatrix) -> int:
     """dim {Y in g : [X, Y] = 0}, via the exact rank of ad(X) on g."""
     if not contains(kind, x):
         raise MembershipError(f"matrix is not in {kind.name}")
-    return len(dense_basis(kind)) - _int_rank(_ad_rows(kind, x))
+    return len(dense_basis(kind)) - len(_pivot_rows(_ad_rows(kind, x)))
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ class TestNilradical:
 
 
 class TestReferencePins:
-    # the library's Bareiss powers and Levi basis count against the two
+    # the library's Bareiss ranks and Levi basis count against the two
     # cheaper references, so that either can replace its path unchanged
     def test_jordan_partition_matches_row_space_chain(self):
         non_nice = [
@@ -297,30 +297,11 @@ class TestJordan:
 
 
 class TestFormHalf:
-    # jordan_partition multiplies a B/C/D power out only where i + j <= N - 1
-    # and reads the rest off the form; these pin the identity it rests on and
-    # the two calls against each other
-    def test_powers_obey_the_form_identity(self):
-        # X^k[N-1-j][N-1-i] = (-1)^k s_i s_j X^k[i][j], with the powers taken
-        # by ExactMatrix @ and the signs from the reference form
-        vectors = 0
-        for kind in classical_kinds_up_to(("B", "C", "D"), 10):
-            N, s = kind.matrix_size, form_signs(kind)
-            for b in all_block_vectors(kind):
-                x = generic_nilradical_element(b, 1)
-                power = x
-                for k in range(1, N + 1):
-                    for i in range(N):
-                        for j in range(N):
-                            want = (-1) ** k * s[i] * s[j] * power.data[i][j]
-                            assert power.data[N - 1 - j][N - 1 - i] == want, (kind.name, b.d, b.central, k)
-                    power = power @ x
-                assert is_zero(power)
-                vectors += 1
-        assert vectors == 130
-
+    # jordan_partition takes the row chain when given a B/C/D form and full
+    # ExactMatrix powers without one; these pin the form it is given, the
+    # skew check on X and the two calls against each other
     def test_library_form_is_the_reference_form(self):
-        # the signs the power product reads are the reference form's, and
+        # the signs the skew check reads are the reference form's, and
         # every realization entry has its mirror at -s_i s_j times its value
         for kind in classical_kinds_up_to(("A", "B", "C", "D"), 16):
             s = form_signs(kind)
@@ -343,8 +324,8 @@ class TestFormHalf:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_form_aware_call_equals_form_free_call_on_classify_oracle_inputs(self, seed):
         # the 377 non-nice B/C/D vectors with N <= 16 that classify --with-oracle
-        # samples: the list-row half product against ExactMatrix @ and the
-        # row-space chain, on the N = 13..16 matrices the up-to-12 test stops short of
+        # samples: the row chain of power rows against ExactMatrix @ and the
+        # primitive-echelon chain, on the N = 13..16 matrices the up-to-12 test stops short of
         vectors = [
             b
             for kind in classical_kinds_up_to(("B", "C", "D"), 16)
@@ -357,27 +338,9 @@ class TestFormHalf:
             want = row_space_jordan_partition(x)
             assert jordan_partition(x, form_signs(b.kind)) == jordan_partition(x) == want, (b.kind.name, b.d, b.central)
 
-    @pytest.mark.parametrize(
-        "b",
-        [BlockVector(LieKind("C", 6), (1, 1, 3), 2), BlockVector(LieKind("D", 8), (1, 3, 3), 2)],
-        ids=["C6", "D8"],
-    )
-    def test_form_aware_call_builds_no_matrix_and_ranks_each_power_once(self, b, monkeypatch):
-        # each B/C/D power stays list rows: no ExactMatrix per power, and one
-        # exact rank per power X^1 .. X^lam_1
-        x, form = generic_nilradical_element(b, 1), form_signs(b.kind)
-        lam = row_space_jordan_partition(x)
-        built, ranked = [], []
-        init, rank = ExactMatrix.__init__, oracle._int_rank
-        monkeypatch.setattr(ExactMatrix, "__init__", lambda self, data: built.append(data) or init(self, data))
-        monkeypatch.setattr(oracle, "_int_rank", lambda m: ranked.append(len(m)) or rank(m))
-        assert jordan_partition(x, form) == lam
-        assert built == []
-        assert ranked == [b.kind.matrix_size] * lam[0]
-
     def test_oracle_passes_the_kinds_form(self, monkeypatch):
-        # the certified oracle takes the form-half product in B/C/D and the
-        # full product in type A
+        # the certified oracle takes the row chain in B/C/D and full powers
+        # in type A
         seen = []
         plain = oracle.jordan_partition
         monkeypatch.setattr(oracle, "jordan_partition", lambda x, form=None: seen.append(form) or plain(x, form))
@@ -396,13 +359,71 @@ class TestFormHalf:
     )
     def test_element_not_skew_for_the_form_raises(self, b, form, monkeypatch):
         powers = []
-        monkeypatch.setattr(oracle, "_half_product", lambda *args: powers.append(args))
         monkeypatch.setattr(ExactMatrix, "rank", lambda self: powers.append(self))
-        monkeypatch.setattr(oracle, "_int_rank", lambda m: powers.append(m))
+        monkeypatch.setattr(oracle, "_pivot_rows", lambda m: powers.append(m))
         x = generic_nilradical_element(b, 1)
         with pytest.raises(InvariantError, match="not skew for the form"):
             jordan_partition(x, form)
         assert powers == []
+
+
+class TestRowChain:
+    # with a form, rank X^k is read off the rows of X^(k-1) that ranked it,
+    # times X: elimination sees N rows for X and r_(k-1) rows for X^k
+    @pytest.mark.parametrize(
+        "b",
+        [BlockVector(LieKind("C", 6), (1, 1, 3), 2), BlockVector(LieKind("D", 8), (1, 3, 3), 2)],
+        ids=["C6", "D8"],
+    )
+    def test_form_aware_call_builds_no_matrix_and_eliminates_the_previous_rank_rows(self, b, monkeypatch):
+        x, form = generic_nilradical_element(b, 1), form_signs(b.kind)
+        lam = row_space_jordan_partition(x)
+        built, fed = [], []
+        init, pivot_rows = ExactMatrix.__init__, oracle._pivot_rows
+        monkeypatch.setattr(ExactMatrix, "__init__", lambda self, data: built.append(data) or init(self, data))
+        monkeypatch.setattr(oracle, "_pivot_rows", lambda m: fed.append(len(m)) or pivot_rows(m))
+        assert jordan_partition(x, form) == lam
+        assert built == []
+        # r_k = rank X^k = sum over the parts of max(part - k, 0)
+        ranks = [sum(max(p - k, 0) for p in lam) for k in range(lam[0])]
+        assert ranks[0] == b.kind.matrix_size
+        assert fed == ranks
+
+    def test_pivot_rows_are_independent_and_span(self):
+        # the named rows have the rank of the whole matrix, on random integer
+        # matrices with dependent rows
+        rng = random.Random(3)
+        for _ in range(40):
+            n, r = rng.randint(2, 7), rng.randint(0, 5)
+            gens = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
+            rows = [[sum(rng.randint(-2, 2) * g[j] for g in gens) for j in range(n)] for _ in range(rng.randint(1, 8))]
+            pivots = oracle._pivot_rows(rows)
+            assert len(set(pivots)) == len(pivots) == ExactMatrix(rows).rank()
+            assert ExactMatrix([rows[i] for i in pivots]).rank() == len(pivots)
+            assert ExactMatrix([rows[i] for i in pivots] + rows).rank() == len(pivots)
+
+    @pytest.mark.parametrize(
+        "name,diagonal,stalled",
+        [
+            ("B3", (1, 0, 0, 0, 0, 0, -1), 2),
+            ("C3", (1, 0, 0, 0, 0, -1), 2),
+            ("D4", (1, 0, 0, 0, 0, 0, 0, -1), 2),
+            ("C3", (1, 2, 3, -3, -2, -1), 6),
+            ("D4", (1, 2, 3, 4, -4, -3, -2, -1), 8),
+        ],
+        ids=["B3", "C3", "D4", "C3-full-rank", "D4-full-rank"],
+    )
+    def test_skew_cartan_element_is_not_nilpotent(self, name, diagonal, stalled, monkeypatch):
+        # a Cartan element of so/sp is skew for the form, so it passes the
+        # skew check, and its rank stalls at rank X: at once when rank X = N
+        kind = LieKind.parse(name)
+        n = len(diagonal)
+        x = ExactMatrix([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        fed, pivot_rows = [], oracle._pivot_rows
+        monkeypatch.setattr(oracle, "_pivot_rows", lambda m: fed.append(len(m)) or pivot_rows(m))
+        with pytest.raises(NotNilpotentError, match=f"stalled at {stalled} > 0"):
+            jordan_partition(x, form_signs(kind))
+        assert fed == ([n] if stalled == n else [n, stalled])
 
 
 class TestCentralizer:

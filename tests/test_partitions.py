@@ -2,6 +2,7 @@ from itertools import permutations
 
 import pytest
 
+from richardson import core
 from richardson.classify import is_nice
 from richardson.core import (
     BlockVector,
@@ -131,6 +132,18 @@ class TestPartitionBCD:
                     continue
                 checked += 1
         assert checked == 16784  # 16382 type A vectors and 402 nice B/C/D ones
+
+    def test_blocks_are_not_validated_again(self, monkeypatch):
+        # BlockVector validated the blocks, so the conjugate is taken from them
+        # directly; transpose still checks what a caller hands it
+        calls, check = [], core.check_partition
+        monkeypatch.setattr(core, "check_partition", lambda p: calls.append(tuple(p)) or check(p))
+        for name, d, c in (("A4", (2, 1, 2), None), ("C3", (1, 1), 2), ("D4", (1, 3), None)):
+            richardson_partition(BlockVector(LieKind.parse(name), d, c))
+        assert calls == []
+        with pytest.raises(DescriptorError):
+            transpose((1, 2))
+        assert calls == [(1, 2)]
 
     def test_transpose_of_dual_route(self):
         for b in nice_bcd(14):

@@ -404,9 +404,10 @@ def test_readme_module_map_names_resolve():
 
 
 def test_bench_files_name_benchmark_metrics():
-    # a speed claim cites a checked-in BENCH file; one in another layout, or
-    # one naming a workload or metric the benchmark does not declare, cannot
-    # be read against BENCHMARK.json
+    # a speed claim cites a checked-in BENCH file; one in another layout, one
+    # naming a workload or metric the benchmark does not declare, one that
+    # leaves a declared workload or end-to-end metric out, or one that does
+    # not say what machine it ran on, cannot be read against BENCHMARK.json
     root = Path(__file__).parents[1]
     declared = json.loads((root / "BENCHMARK.json").read_text())
     workloads = {w["name"] for w in declared["workloads"]}
@@ -420,12 +421,12 @@ def test_bench_files_name_benchmark_metrics():
         if missing := keys - bench.keys():
             problems.append(f"{path.name}: missing keys {sorted(missing)}")
             continue
-        for workload, entry in bench["summary"].items():
-            if workload not in workloads:
-                problems.append(f"{path.name}: unknown workload {workload}")
-            problems += [
-                f"{path.name}: {workload} reports {name}, not an end_to_end metric"
-                for name in entry["metrics"]
-                if name not in metrics
-            ]
+        if missing := {"cpu", "nproc", "python"} - bench["machine"].keys():
+            problems.append(f"{path.name}: machine does not name {sorted(missing)}")
+        summary = bench["summary"]
+        if workloads != summary.keys():
+            problems.append(f"{path.name}: summary covers {sorted(summary)}, not {sorted(workloads)}")
+        for workload, entry in summary.items():
+            if set(entry["metrics"]) != metrics:
+                problems.append(f"{path.name}: {workload} reports {sorted(entry['metrics'])}, not {sorted(metrics)}")
     assert problems == [], problems
