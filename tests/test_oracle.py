@@ -338,6 +338,27 @@ class TestFormHalf:
             want = row_space_jordan_partition(x)
             assert jordan_partition(x, form_signs(b.kind)) == jordan_partition(x) == want, (b.kind.name, b.d, b.central)
 
+    @pytest.mark.parametrize(
+        "b",
+        [BlockVector(LieKind("C", 6), (1, 1, 3), 2), BlockVector(LieKind("D", 8), (1, 3, 3), 2)],
+        ids=["C6", "D8"],
+    )
+    def test_form_aware_call_builds_no_matrix_and_ranks_each_power_once(self, b, monkeypatch):
+        # no ExactMatrix is built, and each power X^1 .. X^lam_1 is eliminated
+        # once: N rows for X, then the r_(k-1) rows that ranked X^(k-1), times X
+        x, form = generic_nilradical_element(b, 1), form_signs(b.kind)
+        lam = row_space_jordan_partition(x)
+        built, fed = [], []
+        init, pivot_rows = ExactMatrix.__init__, oracle._pivot_rows
+        monkeypatch.setattr(ExactMatrix, "__init__", lambda self, data: built.append(data) or init(self, data))
+        monkeypatch.setattr(oracle, "_pivot_rows", lambda m: fed.append(len(m)) or pivot_rows(m))
+        assert jordan_partition(x, form) == lam
+        assert built == []
+        # r_k = rank X^k = sum over the parts of max(part - k, 0)
+        ranks = [sum(max(p - k, 0) for p in lam) for k in range(lam[0])]
+        assert ranks[0] == b.kind.matrix_size
+        assert fed == ranks
+
     def test_oracle_passes_the_kinds_form(self, monkeypatch):
         # the certified oracle takes the row chain in B/C/D and full powers
         # in type A
@@ -369,26 +390,7 @@ class TestFormHalf:
 
 class TestRowChain:
     # with a form, rank X^k is read off the rows of X^(k-1) that ranked it,
-    # times X: elimination sees N rows for X and r_(k-1) rows for X^k
-    @pytest.mark.parametrize(
-        "b",
-        [BlockVector(LieKind("C", 6), (1, 1, 3), 2), BlockVector(LieKind("D", 8), (1, 3, 3), 2)],
-        ids=["C6", "D8"],
-    )
-    def test_form_aware_call_builds_no_matrix_and_eliminates_the_previous_rank_rows(self, b, monkeypatch):
-        x, form = generic_nilradical_element(b, 1), form_signs(b.kind)
-        lam = row_space_jordan_partition(x)
-        built, fed = [], []
-        init, pivot_rows = ExactMatrix.__init__, oracle._pivot_rows
-        monkeypatch.setattr(ExactMatrix, "__init__", lambda self, data: built.append(data) or init(self, data))
-        monkeypatch.setattr(oracle, "_pivot_rows", lambda m: fed.append(len(m)) or pivot_rows(m))
-        assert jordan_partition(x, form) == lam
-        assert built == []
-        # r_k = rank X^k = sum over the parts of max(part - k, 0)
-        ranks = [sum(max(p - k, 0) for p in lam) for k in range(lam[0])]
-        assert ranks[0] == b.kind.matrix_size
-        assert fed == ranks
-
+    # times X
     def test_pivot_rows_are_independent_and_span(self):
         # the named rows have the rank of the whole matrix, on random integer
         # matrices with dependent rows
