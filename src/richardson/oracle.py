@@ -7,15 +7,14 @@ classical kind is built once and cached as a sparse basis, the nonzero
 entries of each element: a generic nilradical element is written from those
 entries into one N x N array, and dense basis matrices are built only for
 :func:`levi_dim` and the tests.  Jordan types come from ranks of integer
-matrix powers via fraction-free (Bareiss) elimination: the drops
+matrix powers, each the number of primitive integer echelon rows: the drops
 rank X^(k-1) - rank X^k are the transposed Jordan type.  In B/C/D the ranks
 come from a row chain, since the row space of X^k is that of X^(k-1) times
-X: elimination names the pivot rows of X^(k-1), only those r_(k-1) rows are
-multiplied by X (one C-level dot product per entry), and the products,
-actual rows of X^k, give rank X^k.  Type A still ranks full ``ExactMatrix``
-powers: the chain makes the verify sweep fast enough that the benchmark
-harness's per-pass bookkeeping lifts its peak memory past its bound (ROADMAP
-item 2).  The genericity certificate
+X: only the r_(k-1) echelon rows of X^(k-1) are multiplied by X (one C-level
+dot product per entry), and their products are reduced for rank X^k.  Type A
+still ranks full ``ExactMatrix`` powers: the chain makes the verify sweep
+fast enough that the benchmark harness's per-pass bookkeeping lifts its peak
+memory past its bound (ROADMAP item 2).  The genericity certificate
 ``dim g^X = dim g - 2 dim n`` reads dim g^X off the exact Jordan type of X
 (Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie Algebras*,
 Cor. 6.1.4); the right side, which equals dim m, is a lower bound for it
@@ -31,6 +30,7 @@ import operator
 import random
 import warnings
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -92,44 +92,29 @@ class ExactMatrix:
         )
 
     def rank(self) -> int:
-        """Exact rank by fraction-free (Bareiss) elimination over Z."""
-        return len(_pivot_rows(self.data))
+        """Exact rank over Z: the number of primitive echelon rows."""
+        return len(_echelon(self.data))
 
 
-def _pivot_rows(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of the pivot rows of an integer matrix, in pivot order, by
-    fraction-free (Bareiss) elimination with exact division on a copy.
+def _echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Primitive integer echelon rows spanning the rational row space of
+    ``rows``, one per unit of rank.
 
-    Each pivot row, reduced, is the original row times a nonzero scalar plus
-    earlier pivot rows, and the reduced pivot rows are in echelon form: the
-    rows named are independent and span the row space, so there are rank many.
+    Each row is reduced fraction-free against the rows kept so far, so it is
+    zero at each kept row's leading column, and if anything is left it is
+    divided by the gcd of its entries and kept.  The kept rows are
+    independent, so there are rank many.
     """
-    m = [list(row) for row in rows]
-    nr = len(m)
-    order = list(range(nr))
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        if rank == nr:
-            break
-        piv_row = next((i for i in range(rank, nr) if m[i][col]), None)
-        if piv_row is None:
-            continue
-        if piv_row != rank:
-            m[rank], m[piv_row] = m[piv_row], m[rank]
-            order[rank], order[piv_row] = order[piv_row], order[rank]
-        piv = m[rank][col]
-        top = m[rank]
-        for i in range(rank + 1, nr):
-            row = m[i]
-            f = row[col]
-            for j in range(col + 1, nc):
-                row[j] = (piv * row[j] - f * top[j]) // prev
-            row[col] = 0
-        prev = piv
-        rank += 1
-    return order[:rank]
+    kept: list[tuple[int, list[int]]] = []  # (leading column, row)
+    for row in rows:
+        for col, top in kept:
+            if row[col]:
+                row = [top[col] * a - row[col] * b for a, b in zip(row, top)]
+        lead = next((col for col, v in enumerate(row) if v), None)
+        if lead is not None:
+            g = gcd(*row)
+            kept.append((lead, [v // g for v in row]))
+    return [row for _, row in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +249,10 @@ def jordan_partition(x: ExactMatrix, form: Sequence[int] | None = None) -> tuple
     (X[N-1-j][N-1-i] = -s_i s_j X[i][j], as :func:`_form` gives for a B/C/D
     kind), or None.  X is checked first; one that is not skew for the form
     raises :class:`InvariantError`.  With a form the ranks come from a row
-    chain: the row space of X^k is that of X^(k-1) times X, so the pivot
-    rows that ranked X^(k-1) are the only rows multiplied by X, one C-level
-    dot product per entry, and the r_(k-1) products, actual rows of X^k, are
-    what ranks X^k.  Without a form every power is a full ``ExactMatrix``.
+    chain: the row space of X^k is that of X^(k-1) times X, so the r_(k-1)
+    primitive echelon rows of X^(k-1) are the only rows multiplied by X, one
+    C-level dot product per entry, and the echelon rows of those products
+    count rank X^k.  Without a form every power is a full ``ExactMatrix``.
     """
     if x.rows != x.cols:
         raise ValueError("square matrix required")
@@ -296,11 +281,11 @@ def jordan_partition(x: ExactMatrix, form: Sequence[int] | None = None) -> tuple
     else:
         rows, cols = d, list(zip(*d))
         while rows:
-            pivots = _pivot_rows(rows)
-            if len(pivots) == ranks[-1]:
+            rows = _echelon(rows)
+            if len(rows) == ranks[-1]:
                 break
-            ranks.append(len(pivots))
-            rows = [[sum(map(operator.mul, rows[i], col)) for col in cols] for i in pivots]
+            ranks.append(len(rows))
+            rows = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
     if ranks[-1]:
         raise NotNilpotentError(f"rank of the powers stalled at {ranks[-1]} > 0")
     return transpose([a - b for a, b in zip(ranks, ranks[1:])])

@@ -7,8 +7,11 @@ hold the library's one path against it:
   dense basis of g (:func:`dense_basis`), against the Jordan-type closed
   forms of :func:`richardson.oracle.certified_centralizer_dim`;
 * :func:`row_space_jordan_partition` reads rank X^k off a chain of integer
-  row spaces, against the Bareiss ranks of the powers in
+  row spaces that starts from the identity, against the power ranks of
   :func:`richardson.oracle.jordan_partition`;
+* :func:`fraction_rank` ranks an integer matrix by Gauss-Jordan elimination
+  over the rationals, against the primitive echelon rows of
+  :func:`richardson.oracle._echelon`;
 * :func:`nilradical_basis` picks the nilradical out of the dense basis by
   where each element's entries lie, against the leading positions that
   :func:`richardson.oracle.generic_nilradical_element` keeps;
@@ -73,7 +76,6 @@ from richardson.oracle import (
     COEFF_RANGE,
     ExactMatrix,
     NotNilpotentError,
-    _pivot_rows,
     _root_vectors,
     realization,
 )
@@ -185,7 +187,7 @@ def centralizer_dim(kind: LieKind, x: ExactMatrix) -> int:
     """dim {Y in g : [X, Y] = 0}, via the exact rank of ad(X) on g."""
     if not contains(kind, x):
         raise MembershipError(f"matrix is not in {kind.name}")
-    return len(dense_basis(kind)) - len(_pivot_rows(_ad_rows(kind, x)))
+    return len(dense_basis(kind)) - len(_primitive_echelon(_ad_rows(kind, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +222,24 @@ def row_space_jordan_partition(x: ExactMatrix) -> tuple[int, ...]:
             raise NotNilpotentError(f"rank of the powers stalled at {len(rows)} > 0")
         ranks.append(len(rows))
     return transpose([a - b for a, b in zip(ranks, ranks[1:])])
+
+
+def fraction_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q by Gaussian elimination on :class:`~fractions.Fraction`
+    entries, with no integer row arithmetic."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / top[col]
+            m[i] = [a - f * b for a, b in zip(m[i], top)]
+        rank += 1
+    return rank
 
 
 def levi_dim_closed_form(b: BlockVector) -> int:

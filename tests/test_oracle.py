@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from richardson import oracle
+from richardson import cli, oracle
 from richardson.classify import classify, is_nice
 from richardson.core import BlockVector, Coloring, InvariantError, LieKind, UnsupportedKindError, all_block_vectors, all_colorings, blocks_from_coloring
 from richardson.oracle import (
@@ -29,6 +30,7 @@ from reference import (
     contains,
     dense_basis,
     form_matrix,
+    fraction_rank,
     identity,
     is_zero,
     levi_blocks_from_matrices,
@@ -229,7 +231,7 @@ class TestNilradical:
 
 
 class TestReferencePins:
-    # the library's Bareiss ranks and Levi basis count against the two
+    # the library's power ranks and Levi basis count against the two
     # cheaper references, so that either can replace its path unchanged
     def test_jordan_partition_matches_row_space_chain(self):
         non_nice = [
@@ -345,13 +347,13 @@ class TestFormHalf:
     )
     def test_form_aware_call_builds_no_matrix_and_ranks_each_power_once(self, b, monkeypatch):
         # no ExactMatrix is built, and each power X^1 .. X^lam_1 is eliminated
-        # once: N rows for X, then the r_(k-1) rows that ranked X^(k-1), times X
+        # once: N rows for X, then the r_(k-1) echelon rows of X^(k-1), times X
         x, form = generic_nilradical_element(b, 1), form_signs(b.kind)
         lam = row_space_jordan_partition(x)
         built, fed = [], []
-        init, pivot_rows = ExactMatrix.__init__, oracle._pivot_rows
+        init, echelon = ExactMatrix.__init__, oracle._echelon
         monkeypatch.setattr(ExactMatrix, "__init__", lambda self, data: built.append(data) or init(self, data))
-        monkeypatch.setattr(oracle, "_pivot_rows", lambda m: fed.append(len(m)) or pivot_rows(m))
+        monkeypatch.setattr(oracle, "_echelon", lambda m: fed.append(len(m)) or echelon(m))
         assert jordan_partition(x, form) == lam
         assert built == []
         # r_k = rank X^k = sum over the parts of max(part - k, 0)
@@ -381,7 +383,7 @@ class TestFormHalf:
     def test_element_not_skew_for_the_form_raises(self, b, form, monkeypatch):
         powers = []
         monkeypatch.setattr(ExactMatrix, "rank", lambda self: powers.append(self))
-        monkeypatch.setattr(oracle, "_pivot_rows", lambda m: powers.append(m))
+        monkeypatch.setattr(oracle, "_echelon", lambda m: powers.append(m))
         x = generic_nilradical_element(b, 1)
         with pytest.raises(InvariantError, match="not skew for the form"):
             jordan_partition(x, form)
@@ -389,20 +391,28 @@ class TestFormHalf:
 
 
 class TestRowChain:
-    # with a form, rank X^k is read off the rows of X^(k-1) that ranked it,
-    # times X
-    def test_pivot_rows_are_independent_and_span(self):
-        # the named rows have the rank of the whole matrix, on random integer
-        # matrices with dependent rows
+    # with a form, rank X^k is read off the primitive echelon rows of
+    # X^(k-1), times X
+    def test_echelon_rows_are_primitive_and_count_the_rank(self):
+        # on random integer matrices with dependent rows, each kept row is
+        # primitive and zero at every earlier row's leading column, their
+        # number is the rank by Fraction elimination, and they span the rows
         rng = random.Random(3)
-        for _ in range(40):
+        assert oracle._echelon([]) == []
+        for _ in range(60):
             n, r = rng.randint(2, 7), rng.randint(0, 5)
             gens = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
             rows = [[sum(rng.randint(-2, 2) * g[j] for g in gens) for j in range(n)] for _ in range(rng.randint(1, 8))]
-            pivots = oracle._pivot_rows(rows)
-            assert len(set(pivots)) == len(pivots) == ExactMatrix(rows).rank()
-            assert ExactMatrix([rows[i] for i in pivots]).rank() == len(pivots)
-            assert ExactMatrix([rows[i] for i in pivots] + rows).rank() == len(pivots)
+            before = [row[:] for row in rows]
+            kept = oracle._echelon(rows)
+            assert rows == before
+            leads = []
+            for row in kept:
+                assert math.gcd(*row) == 1, kept
+                assert all(row[col] == 0 for col in leads), kept
+                leads.append(next(col for col, v in enumerate(row) if v))
+            assert len(kept) == fraction_rank(rows) == ExactMatrix(rows).rank()
+            assert fraction_rank(kept + rows) == len(kept)
 
     @pytest.mark.parametrize(
         "name,diagonal,stalled",
@@ -421,8 +431,8 @@ class TestRowChain:
         kind = LieKind.parse(name)
         n = len(diagonal)
         x = ExactMatrix([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
-        fed, pivot_rows = [], oracle._pivot_rows
-        monkeypatch.setattr(oracle, "_pivot_rows", lambda m: fed.append(len(m)) or pivot_rows(m))
+        fed, echelon = [], oracle._echelon
+        monkeypatch.setattr(oracle, "_echelon", lambda m: fed.append(len(m)) or echelon(m))
         with pytest.raises(NotNilpotentError, match=f"stalled at {stalled} > 0"):
             jordan_partition(x, form_signs(kind))
         assert fed == ([n] if stalled == n else [n, stalled])
@@ -623,6 +633,26 @@ class TestOracleEquivalence:
                 assert lam == richardson_partition(b), (kind.name, b.d, b.central, lam)
                 non_nice_bcd += 1
         assert non_nice_bcd == 62
+
+    @pytest.mark.parametrize(
+        "name,d,central",
+        [
+            ("A16", (1,) * 17, None),
+            ("A16", (2, 7, 8), None),
+            ("B16", (4, 4, 4), 9),
+            ("B16", (1, 2, 3, 4, 5), 3),
+            ("C16", (1,) * 16, None),
+            ("C16", (2, 6, 4), 8),
+            ("D16", (3, 4, 4, 5), None),
+            ("D16", (5, 6), 10),
+        ],
+    )
+    def test_largest_cli_rank_certifies_the_closed_form(self, name, d, central):
+        # classify --with-oracle accepts rank 16 (N up to 33), past the
+        # N <= 16 that the sweeps above reach
+        b = BlockVector(LieKind.parse(name), d, central)
+        assert b.kind.rank == cli._MAX_SIZE
+        assert oracle_partition_detail(b) == richardson_partition(b)
 
 
 class TestLeviBlocks:

@@ -373,6 +373,17 @@ def test_reference_clauses_run_no_library_criterion():
     assert used & checked == set()
 
 
+def test_reference_ranks_with_its_own_elimination():
+    # the referee ranks ad(X) and the row-space chain with its own primitive
+    # echelon, so it neither imports the library's elimination nor reads it
+    # as an attribute
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    names = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "richardson.oracle" in {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
+    assert "_echelon" not in names
+
+
 def test_readme_module_map_names_resolve():
     # a simplification that deletes a function can leave the docs naming it:
     # every backticked identifier in a row of README's module map names the
