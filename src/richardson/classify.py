@@ -55,7 +55,14 @@ def nice_from_partition(b: BlockVector, lam: tuple[int, ...]) -> bool:
 
 
 def is_nice(b: BlockVector) -> bool:
-    """:func:`nice_from_partition` on the Richardson partition of ``b``."""
+    """:func:`nice_from_partition` on the Richardson partition of ``b``.
+
+    This is the class-level answer: B/C/D read the ascending order of the
+    blocks, so it says whether some order of them is nice, not whether the
+    given one is (ROADMAP item 1).  Type A reads the given order.  The
+    benchmark's classify-oracle workload takes the B/C/D vectors for which
+    this is false, so its inputs depend on this meaning.
+    """
     return nice_from_partition(b, richardson_partition(b))
 
 

@@ -10,17 +10,18 @@ entries into one N x N array, and dense basis matrices are built only for
 matrix powers, each the number of primitive integer echelon rows: the drops
 rank X^(k-1) - rank X^k are the transposed Jordan type.  In B/C/D the ranks
 come from a row chain, since the row space of X^k is that of X^(k-1) times
-X: only the r_(k-1) echelon rows of X^(k-1) are multiplied by X (one C-level
-dot product per entry), and their products are reduced for rank X^k.  Type A
-still ranks full ``ExactMatrix`` powers: the chain makes the verify sweep
-fast enough that the benchmark harness's per-pass bookkeeping lifts its peak
-memory past its bound (ROADMAP item 2).  The genericity certificate
-``dim g^X = dim g - 2 dim n`` reads dim g^X off the exact Jordan type of X
-(Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie Algebras*,
-Cor. 6.1.4); the right side, which equals dim m, is a lower bound for it
-whenever X lies in the nilradical n, with equality exactly when X is a
-Richardson element.  The rank of ``ad(X)`` on ``g`` gives the same dimension
-independently; it lives with the other cross-checks in ``tests/reference.py``.
+X: only the r_(k-1) echelon rows of X^(k-1) are multiplied by X, each as a
+combination of X's sparse rows (its nonzero entries, listed once), and their
+products are reduced for rank X^k.  Type A still ranks full ``ExactMatrix``
+powers: the chain makes the verify sweep fast enough that the benchmark
+harness's per-pass bookkeeping lifts its peak memory past its bound (ROADMAP
+item 2).  The genericity certificate ``dim g^X = dim g - 2 dim n`` reads
+dim g^X off the exact Jordan type of X (Collingwood-McGovern, *Nilpotent
+Orbits in Semisimple Lie Algebras*, Cor. 6.1.4); the right side, which
+equals dim m, is a lower bound for it whenever X lies in the nilradical n,
+with equality exactly when X is a Richardson element.  The rank of ``ad(X)``
+on ``g`` gives the same dimension independently; it lives with the other
+cross-checks in ``tests/reference.py``.
 No floating point is used anywhere.
 """
 
@@ -62,13 +63,18 @@ class ExactMatrix:
     """Dense matrix over exact integers, with exact rank.
 
     Entries must be integers: a float or :class:`~fractions.Fraction` entry
-    raises ``TypeError``.
+    raises ``TypeError``.  The input is copied into list rows, the form that
+    :func:`_echelon` and the row chain of :func:`jordan_partition` take.
+    Tuple rows would leave thousands of short tuples from the dense Levi walk
+    and from each sample on CPython's free lists, whose memory stays
+    resident.  The hash reads the rows as tuples, so equal matrices still
+    hash equal.
     """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence[int]]):
-        self.data = tuple(tuple(map(operator.index, row)) for row in data)
+        self.data = [list(map(operator.index, row)) for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(r) != self.cols for r in self.data):
@@ -78,7 +84,7 @@ class ExactMatrix:
         return isinstance(other, ExactMatrix) and self.data == other.data
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash(tuple(map(tuple, self.data)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExactMatrix({self.rows}x{self.cols})"
@@ -250,9 +256,12 @@ def jordan_partition(x: ExactMatrix, form: Sequence[int] | None = None) -> tuple
     kind), or None.  X is checked first; one that is not skew for the form
     raises :class:`InvariantError`.  With a form the ranks come from a row
     chain: the row space of X^k is that of X^(k-1) times X, so the r_(k-1)
-    primitive echelon rows of X^(k-1) are the only rows multiplied by X, one
-    C-level dot product per entry, and the echelon rows of those products
-    count rank X^k.  Without a form every power is a full ``ExactMatrix``.
+    primitive echelon rows of X^(k-1) are the only rows multiplied by X, and
+    the echelon rows of those products count rank X^k.  Each product is a
+    combination of X's rows, built once as their nonzero ``(j, v)`` entries:
+    every nonzero coefficient a adds a * v at column j, in the same exact
+    integers as a full dot product.  Without a form every power is a full
+    ``ExactMatrix``.
     """
     if x.rows != x.cols:
         raise ValueError("square matrix required")
@@ -279,13 +288,22 @@ def jordan_partition(x: ExactMatrix, form: Sequence[int] | None = None) -> tuple
             if ranks[-1] == 0:
                 break
     else:
-        rows, cols = d, list(zip(*d))
+        sparse = [[(j, v) for j, v in enumerate(row) if v] for row in d]
+        rows = d
         while rows:
             rows = _echelon(rows)
             if len(rows) == ranks[-1]:
                 break
             ranks.append(len(rows))
-            rows = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+            products = []
+            for row in rows:
+                acc = [0] * N
+                for a, x_row in zip(row, sparse):
+                    if a:
+                        for j, v in x_row:
+                            acc[j] += a * v
+                products.append(acc)
+            rows = products
     if ranks[-1]:
         raise NotNilpotentError(f"rank of the powers stalled at {ranks[-1]} > 0")
     return transpose([a - b for a, b in zip(ranks, ranks[1:])])

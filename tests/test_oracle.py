@@ -92,6 +92,23 @@ class TestExactMatrix:
         with pytest.raises(ValueError, match=message):
             build()
 
+    def test_copies_its_input(self):
+        # the rows are the matrix's own lists: changing the caller's lists
+        # afterwards changes nothing
+        rows = [[1, 2], [3, 4]]
+        m = ExactMatrix(rows)
+        rows[0][0] = 9
+        rows.append([5, 6])
+        assert m.data == [[1, 2], [3, 4]] and (m.rows, m.cols) == (2, 2)
+        assert m == ExactMatrix([[1, 2], [3, 4]])
+
+    def test_equal_matrices_compare_and_hash_equal(self):
+        # list rows from lists or tuples alike, so sets of matrices work
+        a, b = ExactMatrix([[1, 2], [3, 4]]), ExactMatrix(((1, 2), (3, 4)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != ExactMatrix([[1, 2], [3, 5]]) and a != [[1, 2], [3, 4]]
+        assert len({a, ExactMatrix([[1, 2], [3, 5]]), ExactMatrix([[1, 2]])}) == 3
+
     def test_rank_bounded_by_generators(self):
         # rows built from r generators never exceed rank r
         rng = random.Random(11)
@@ -299,9 +316,10 @@ class TestJordan:
 
 
 class TestFormHalf:
-    # jordan_partition takes the row chain when given a B/C/D form and full
-    # ExactMatrix powers without one; these pin the form it is given, the
-    # skew check on X and the two calls against each other
+    # jordan_partition takes the row chain on X's sparse rows when given a
+    # B/C/D form and multiplies full ExactMatrix powers (ExactMatrix @)
+    # without one; these pin the form it is given, the skew check on X and
+    # the two calls against each other
     def test_library_form_is_the_reference_form(self):
         # the signs the skew check reads are the reference form's, and
         # every realization entry has its mirror at -s_i s_j times its value
@@ -326,8 +344,9 @@ class TestFormHalf:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_form_aware_call_equals_form_free_call_on_classify_oracle_inputs(self, seed):
         # the 377 non-nice B/C/D vectors with N <= 16 that classify --with-oracle
-        # samples: the row chain of power rows against ExactMatrix @ and the
-        # primitive-echelon chain, on the N = 13..16 matrices the up-to-12 test stops short of
+        # samples: the sparse row chain against full powers by ExactMatrix @
+        # and the reference's row-space chain, on the N = 13..16 matrices the
+        # up-to-12 test stops short of
         vectors = [
             b
             for kind in classical_kinds_up_to(("B", "C", "D"), 16)
@@ -339,6 +358,27 @@ class TestFormHalf:
             x = generic_nilradical_element(b, seed)
             want = row_space_jordan_partition(x)
             assert jordan_partition(x, form_signs(b.kind)) == jordan_partition(x) == want, (b.kind.name, b.d, b.central)
+
+    def test_root_vectors_and_sums_of_two(self):
+        # sparse inputs, unlike the nearly dense samples: every positive root
+        # vector of each B/C/D kind with N <= 16 and eight sums of two of
+        # them; each has zero rows, and X^2 = 0 occurs as well as longer parts
+        rng = random.Random(5)
+        square_zero = longer = 0
+        for kind in classical_kinds_up_to(("B", "C", "D"), 16):
+            roots = [
+                e for e in dense_basis(kind) if all(v == 0 for i, row in enumerate(e.data) for v in row[: i + 1])
+            ]
+            assert len(roots) == (kind.dim - kind.rank) // 2, kind.name
+            sums = [combine((1, a), (1, b)) for a, b in (rng.sample(roots, 2) for _ in range(8))]
+            form = form_signs(kind)
+            for x in roots + sums:
+                assert any(not any(row) for row in x.data), kind.name
+                want = row_space_jordan_partition(x)
+                assert jordan_partition(x, form) == jordan_partition(x) == want, (kind.name, x.data)
+                square_zero += want[0] == 2
+                longer += want[0] > 2
+        assert square_zero and longer
 
     @pytest.mark.parametrize(
         "b",

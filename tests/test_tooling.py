@@ -418,7 +418,9 @@ def test_bench_files_name_benchmark_metrics():
     # a speed claim cites a checked-in BENCH file; one in another layout, one
     # naming a workload or metric the benchmark does not declare, one that
     # leaves a declared workload or end-to-end metric out, or one that does
-    # not say what machine it ran on, cannot be read against BENCHMARK.json
+    # not say what machine it ran on, cannot be read against BENCHMARK.json;
+    # nor can a run that hides its pass count, since peak_rss_mb moves with it
+    # (a ``passes`` key or perfbench/run.py's ``passes N`` info line)
     root = Path(__file__).parents[1]
     declared = json.loads((root / "BENCHMARK.json").read_text())
     workloads = {w["name"] for w in declared["workloads"]}
@@ -440,4 +442,7 @@ def test_bench_files_name_benchmark_metrics():
         for workload, entry in summary.items():
             if set(entry["metrics"]) != metrics:
                 problems.append(f"{path.name}: {workload} reports {sorted(entry['metrics'])}, not {sorted(metrics)}")
+        for i, run in enumerate(bench["runs"]):
+            if "passes" not in run and not any(re.fullmatch(r"passes \d+\b.*", line) for line in run.get("info_lines", [])):
+                problems.append(f"{path.name}: run {i} ({run.get('workload')}) records no pass count")
     assert problems == [], problems
